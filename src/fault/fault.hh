@@ -84,7 +84,7 @@ enum class FaultSite : std::uint8_t
     LinkDisconnect,
     /** The standby process crashes, losing all volatile state; it
      *  recovers from its persisted journal images via
-     *  recoverJournal/recoverShardedJournal and resyncs. */
+     *  recoverShardedJournal and resyncs. */
     StandbyCrash,
     NumSites
 };

@@ -1,17 +1,27 @@
 /**
  * @file
- * Frame primitives shared by the single-stream journal writer
- * (journal.cc) and the sharded multi-stream writer/recovery
- * (sharded.cc). Internal to src/journal — the frame wire format is
- * not a public API.
+ * The journal wire format, in one place: the frame envelope and the
+ * codecs for the two payloads it carries. Internal to src/journal
+ * (and the standby's incremental ingest) — the format is not a public
+ * API.
  *
- * Every committed frame, in every journal version, has the shape
+ * Every committed frame has the shape
  *
  *   frame := u8 kind | varu payloadLen | payload
  *            | u64fixed crc32c(kind || payload) | u8 0x5A
  *
- * so one parser serves both formats; the version-specific structure
- * lives entirely inside the payloads.
+ * and carries one of two payloads, spelled by the stream count N of
+ * the journal it belongs to:
+ *
+ *   header := u64fixed((magic << 32) | version)
+ *             [ varu streamIndex | varu streamCount | varu baseEpoch ]
+ *             | guestProgram | machineConfig | u64fixed fingerprint
+ *   epoch  := varu epochIndex [ varu streamSeq ]
+ *             | varu dirtyPages | varu tpInstrs | epochRecord
+ *
+ * The bracketed fields appear exactly when N > 1 (version 3); N == 1
+ * is version 2, an implicit stream 0 of 1 at baseEpoch 0 whose
+ * streamSeq is the epoch index itself.
  */
 
 #ifndef DP_JOURNAL_FRAME_HH
@@ -25,6 +35,7 @@
 #include "common/bytes.hh"
 #include "common/crc32.hh"
 #include "common/logging.hh"
+#include "core/recording.hh"
 #include "journal/journal.hh"
 
 namespace dp::journal_detail
@@ -129,6 +140,64 @@ reportScanStop(RecoveryReport &rep, const FrameScanError &f)
     rep.errorOffset = f.offset;
     rep.detail = f.detail;
 }
+
+/** Largest baseEpoch a header may claim. Far below 2^64, so epoch
+ *  index arithmetic over any real stream set cannot wrap. */
+inline constexpr std::uint64_t journalMaxBaseEpoch = std::uint64_t{1}
+                                                     << 62;
+
+/** A decoded header payload. */
+struct JournalHeader
+{
+    StreamInfo stream;
+    GuestProgram prog;
+    MachineConfig cfg;
+    std::uint64_t fingerprint = 0;
+    /** The payload after streamIndex: byte-identical across the
+     *  streams of one journal (version 2: the whole payload). A view
+     *  into the decoded payload, valid as long as its bytes are. */
+    std::span<const std::uint8_t> sharedSuffix;
+};
+
+/** Encode the header payload of stream @p id (version 2 when
+ *  id.streamCount == 1). */
+std::vector<std::uint8_t>
+encodeHeaderPayload(const StreamInfo &id, const GuestProgram &prog,
+                    const MachineConfig &cfg, std::uint64_t fingerprint);
+
+/** Decode a header payload found at image offset @p at. Throws only
+ *  FrameScanError (offsets within the image): bad magic or version,
+ *  a stream identity that does not fit 32 bits or is not a valid
+ *  slot, a version-3 header claiming one stream, a baseEpoch of
+ *  journalMaxBaseEpoch or more, and any malformed field. */
+JournalHeader decodeHeaderPayload(std::span<const std::uint8_t> payload,
+                                  std::size_t at);
+
+/** Encode epoch @p index's payload for a journal of @p stream_count
+ *  streams. */
+std::vector<std::uint8_t> encodeEpochPayload(const EpochRecord &e,
+                                             std::uint64_t index,
+                                             std::uint32_t stream_count);
+
+/** Where an epoch payload says it belongs. */
+struct EpochKey
+{
+    std::uint64_t index = 0; ///< global epoch index
+    std::uint64_t seq = 0;   ///< per-stream sequence number
+};
+
+/** Read an epoch payload's key and check that it belongs to stream
+ *  @p id. Throws FrameScanError{BadEpochIndex, @p at} on an epoch of
+ *  another stream or a sequence number that contradicts its index. */
+EpochKey decodeEpochKey(ByteReader &p, const StreamInfo &id,
+                        std::size_t at);
+
+/** Decode a whole epoch payload of stream @p id found at image offset
+ *  @p at (its key into @p key, if given). Throws only FrameScanError,
+ *  like decodeHeaderPayload. */
+EpochRecord decodeEpochPayload(std::span<const std::uint8_t> payload,
+                               const StreamInfo &id, std::size_t at,
+                               EpochKey *key = nullptr);
 
 } // namespace dp::journal_detail
 

@@ -1,186 +1,14 @@
 #include "journal/journal.hh"
 
+#include <new>
+
 #include "common/bytes.hh"
-#include "common/crc32.hh"
-#include "common/hash.hh"
 #include "common/logging.hh"
 #include "journal/frame.hh"
-#include "journal/sharded.hh"
-#include "os/machine.hh"
 #include "replay/recording_io.hh"
-#include "trace/trace.hh"
 
 namespace dp
 {
-
-using journal_detail::Frame;
-using journal_detail::FrameScanError;
-using journal_detail::makeFrame;
-using journal_detail::parseFrame;
-using journal_detail::reportScanStop;
-
-namespace
-{
-
-std::vector<std::uint8_t>
-headerPayload(const GuestProgram &prog, const MachineConfig &cfg,
-              std::uint64_t options_fingerprint)
-{
-    ByteWriter p;
-    p.u64fixed((std::uint64_t{journalMagic} << 32) | journalVersion);
-    writeGuestProgram(p, prog);
-    writeMachineConfig(p, cfg);
-    p.u64fixed(options_fingerprint);
-    return p.take();
-}
-
-} // namespace
-
-JournalWriter::JournalWriter(const GuestProgram &prog,
-                             const MachineConfig &cfg,
-                             std::uint64_t options_fingerprint,
-                             FaultInjector *faults)
-    : faults_(faults)
-{
-    buf_ = makeFrame(journalHeaderKind,
-                     headerPayload(prog, cfg, options_fingerprint));
-    frameEnds_.push_back(buf_.size());
-}
-
-JournalWriter::JournalWriter(std::vector<std::uint8_t> valid_prefix,
-                             std::uint64_t next_epoch_index,
-                             FaultInjector *faults)
-    : buf_(std::move(valid_prefix)), nextIndex_(next_epoch_index),
-      faults_(faults)
-{
-    frameEnds_.push_back(buf_.size());
-}
-
-JournalWriter::~JournalWriter()
-{
-    // Drain and join the committer before the file closes: every
-    // append handed off before destruction lands on disk.
-    committer_.reset();
-    if (file_)
-        std::fclose(file_);
-}
-
-void
-JournalWriter::enableAsyncCommit()
-{
-    if (committer_)
-        return;
-    // One worker keeps commits FIFO — the crash guarantee *is* the
-    // ordering. Capacity 2 is the bounded double-buffer: one frame
-    // committing, one queued, then appendEpoch back-pressures. The
-    // pool is deliberately untraced: journal-append spans already
-    // cover the work, and a second pool on the Exec stage would
-    // interleave with the session executor's track 0.
-    committer_ = std::make_unique<Executor>(
-        1, ExecutorOptions{.queueCapacity = 2});
-}
-
-void
-JournalWriter::appendEpoch(const EpochRecord &e, EpochId index)
-{
-    if (!committer_) {
-        commitEpoch(e, index);
-        return;
-    }
-    // Hand off a copy in append order; the single worker preserves
-    // FIFO, so the commit-side ordering assert guards exactly the
-    // same misuse it does synchronously.
-    committer_->submit([this, e, index] { commitEpoch(e, index); },
-                       {.label = "journal-commit"});
-}
-
-void
-JournalWriter::commitEpoch(const EpochRecord &e, EpochId index)
-{
-    if (!alive_)
-        return;
-    dp_assert(index == nextIndex_,
-              "journal epochs must append in commit order");
-    ScopedTraceSpan span(trace_, TraceStage::Journal, 0,
-                         "journal-append", "journal");
-    span.arg("epoch", index);
-
-    // A writer that dies between frames leaves the journal ending
-    // exactly at a frame boundary: the best crash shape.
-    if (faults_ && faults_->fire(FaultSite::JournalCrash, index)) {
-        alive_ = false;
-        return;
-    }
-
-    ByteWriter p;
-    p.varu(index);
-    p.varu(e.dirtyPages);
-    p.varu(e.tpInstrs);
-    writeEpochRecord(p, e);
-    std::vector<std::uint8_t> frame =
-        makeFrame(journalEpochKind, p.take());
-    span.arg("bytes", frame.size());
-
-    if (faults_ && faults_->fire(FaultSite::TornFrameWrite, index)) {
-        // Died mid-write: a deterministic strict prefix of the frame
-        // lands on disk and the commit marker never does.
-        std::size_t torn =
-            1 + static_cast<std::size_t>(
-                    mix64(0x7042f6a3c01d58b9ull ^
-                          (index * 0x9e3779b97f4a7c15ull)) %
-                    (frame.size() - 1));
-        buf_.insert(buf_.end(), frame.begin(), frame.begin() + torn);
-        alive_ = false;
-        flushTail();
-        return;
-    }
-
-    buf_.insert(buf_.end(), frame.begin(), frame.end());
-    if (faults_ && faults_->fire(FaultSite::JournalBitFlip, index)) {
-        // Storage corruption inside the committed frame; the frame
-        // CRC (or commit marker check) must catch it on recovery.
-        std::uint64_t h = mix64(0xb17f11b2d9c04e6full ^
-                                (index * 0x9e3779b97f4a7c15ull));
-        std::size_t pos = buf_.size() - frame.size() +
-                          static_cast<std::size_t>(h % frame.size());
-        buf_[pos] ^= static_cast<std::uint8_t>(1u << ((h >> 32) % 8));
-    }
-    ++nextIndex_;
-    frameEnds_.push_back(buf_.size());
-    flushTail();
-}
-
-bool
-JournalWriter::streamTo(const std::string &path)
-{
-    // Settle any in-flight commits before the file handle moves.
-    flush();
-    if (file_) {
-        std::fclose(file_);
-        file_ = nullptr;
-    }
-    file_ = std::fopen(path.c_str(), "wb");
-    if (!file_) {
-        dp_warn("cannot open journal file ", path);
-        return false;
-    }
-    flushed_ = 0;
-    flushTail();
-    return true;
-}
-
-void
-JournalWriter::flushTail()
-{
-    if (!file_)
-        return;
-    if (flushed_ < buf_.size()) {
-        std::fwrite(buf_.data() + flushed_, 1, buf_.size() - flushed_,
-                    file_);
-        flushed_ = buf_.size();
-    }
-    std::fflush(file_);
-}
 
 const char *
 journalErrorName(JournalError e)
@@ -214,196 +42,162 @@ journalErrorName(JournalError e)
     return "invalid";
 }
 
-RecoveredJournal
-recoverJournal(std::span<const std::uint8_t> bytes)
+namespace journal_detail
 {
-    // A v3 stream is one shard of a sharded journal: scan it for a
-    // per-stream report, but only recoverShardedJournal() can merge
-    // shards back into a Recording.
-    if (peekStreamInfo(bytes))
-        return journal_detail::recoverStreamReport(bytes);
 
-    RecoveredJournal out;
-    RecoveryReport &rep = out.report;
-    rep.bytesDiscarded = bytes.size();
-    if (bytes.empty()) {
-        rep.tailError = JournalError::MissingHeader;
-        rep.detail = "empty journal image";
-        return out;
-    }
+namespace
+{
 
-    std::size_t pos = 0;
+/** Run @p decode over a payload found at image offset @p at, folding
+ *  every way it can fail into a FrameScanError at an image offset. */
+template <class F>
+auto
+decodeAt(std::size_t at, const char *what, F &&decode) -> decltype(decode())
+{
     try {
-        Frame header = parseFrame(bytes, pos);
-        if (header.kind != journalHeaderKind)
-            throw FrameScanError{JournalError::MissingHeader, 0,
-                                 "first frame is not a header frame"};
-        ByteReader p(header.payload);
-        std::uint64_t magic = p.u64fixed();
+        return decode();
+    } catch (const FrameScanError &) {
+        throw;
+    } catch (const RecordingDecodeError &f) {
+        throw FrameScanError{JournalError::BadPayload, at + f.offset,
+                             f.detail};
+    } catch (const ByteStreamError &e) {
+        throw FrameScanError{JournalError::BadPayload, at + e.offset,
+                             detail::concat(what, " payload ended early")};
+    } catch (const std::bad_alloc &) {
+        throw FrameScanError{JournalError::BadPayload, at,
+                             "allocation rejected while recovering"};
+    }
+}
+
+} // namespace
+
+std::vector<std::uint8_t>
+encodeHeaderPayload(const StreamInfo &id, const GuestProgram &prog,
+                    const MachineConfig &cfg, std::uint64_t fingerprint)
+{
+    const bool sharded = id.streamCount > 1;
+    dp_assert(sharded || id.baseEpoch == 0,
+              "a version-2 journal carries no baseEpoch");
+    ByteWriter p;
+    p.u64fixed((std::uint64_t{journalMagic} << 32) |
+               (sharded ? journalVersion3 : journalVersion));
+    if (sharded) {
+        p.varu(id.streamIndex);
+        p.varu(id.streamCount);
+        p.varu(id.baseEpoch);
+    }
+    writeGuestProgram(p, prog);
+    writeMachineConfig(p, cfg);
+    p.u64fixed(fingerprint);
+    return p.take();
+}
+
+JournalHeader
+decodeHeaderPayload(std::span<const std::uint8_t> payload, std::size_t at)
+{
+    return decodeAt(at, "header", [&] {
+        JournalHeader h;
+        ByteReader p(payload);
+        const std::uint64_t magic = p.u64fixed();
         if (magic >> 32 != journalMagic)
-            throw FrameScanError{JournalError::BadMagic, 0,
+            throw FrameScanError{JournalError::BadMagic, at,
                                  "not a uniplay epoch journal"};
-        if ((magic & 0xffffffff) != journalVersion)
-            throw FrameScanError{
-                JournalError::BadVersion, 0,
-                detail::concat("unsupported journal version ",
-                               magic & 0xffffffff)};
-        GuestProgram prog = readGuestProgram(p);
-        MachineConfig cfg = readMachineConfig(p);
-        out.optionsFingerprint = p.u64fixed();
-        if (!p.atEnd())
-            throw FrameScanError{
-                JournalError::BadPayload, pos,
-                "trailing bytes in the header payload"};
-        out.recording =
-            std::make_unique<Recording>(prog, std::move(cfg));
-    } catch (const FrameScanError &f) {
-        reportScanStop(rep, f);
-        return out;
-    } catch (const RecordingDecodeError &f) {
-        reportScanStop(rep, {JournalError::BadPayload, f.offset,
-                             f.detail});
-        return out;
-    } catch (const ByteStreamError &e) {
-        reportScanStop(rep, {JournalError::BadPayload, e.offset,
-                             "header payload ended early"});
-        return out;
-    } catch (const std::bad_alloc &) {
-        reportScanStop(rep, {JournalError::BadPayload, 0,
-                             "allocation rejected while recovering"});
-        return out;
-    }
-
-    rep.headerOk = true;
-    rep.committedBytes = pos;
-    Recording &rec = *out.recording;
-    try {
-        while (pos < bytes.size()) {
-            std::size_t frame_start = pos;
-            Frame f = parseFrame(bytes, pos);
-            if (f.kind != journalEpochKind)
+        const std::uint64_t version = magic & 0xffffffff;
+        if (version == journalVersion3) {
+            const std::uint64_t stream = p.varu();
+            const std::size_t suffix = p.pos();
+            const std::uint64_t count = p.varu();
+            const std::uint64_t base = p.varu();
+            // Version 3 only ever spells a multi-stream set, and the
+            // identity must fit the 32-bit fields it decodes into.
+            if (count < 2 || count > UINT32_MAX || stream >= count)
                 throw FrameScanError{
-                    JournalError::BadFrameKind, frame_start,
-                    "header frame after frame 0"};
-            ByteReader p(f.payload);
-            std::uint64_t index = p.varu();
-            if (index != rec.epochs.size())
+                    JournalError::BadPayload, at,
+                    detail::concat("stream ", stream, " of ", count,
+                                   " is not a valid stream identity")};
+            if (base >= journalMaxBaseEpoch)
                 throw FrameScanError{
-                    JournalError::BadEpochIndex, frame_start,
-                    detail::concat("epoch frame ", index, " where ",
-                                   rec.epochs.size(), " expected")};
-            std::uint64_t dirty = p.varu();
-            std::uint64_t tp_instrs = p.varu();
-            EpochRecord e = readEpochRecord(p, index);
-            if (!p.atEnd())
-                throw FrameScanError{
-                    JournalError::BadPayload, frame_start,
-                    "trailing bytes in an epoch payload"};
-            e.dirtyPages = dirty;
-            e.tpInstrs = tp_instrs;
-            rec.epochs.push_back(std::move(e));
-            rep.committedBytes = pos;
-            ++rep.framesRecovered;
-        }
-    } catch (const FrameScanError &f) {
-        reportScanStop(rep, f);
-    } catch (const RecordingDecodeError &f) {
-        reportScanStop(rep, {JournalError::BadPayload, f.offset,
-                             f.detail});
-    } catch (const ByteStreamError &e) {
-        reportScanStop(rep, {JournalError::BadPayload, e.offset,
-                             "epoch payload ended early"});
-    } catch (const std::bad_alloc &) {
-        reportScanStop(rep, {JournalError::BadPayload, pos,
-                             "allocation rejected while recovering"});
-    }
-    rep.bytesDiscarded = bytes.size() - rep.committedBytes;
-
-    // Reconstruct everything serializeRecording persists beyond the
-    // epochs themselves, so the recovered prefix converts to the same
-    // bytes an uninterrupted session over these epochs would emit —
-    // and replay-verifies as-is.
-    rec.stats.epochs =
-        static_cast<std::uint32_t>(rec.epochs.size());
-    for (const EpochRecord &e : rec.epochs) {
-        rec.stats.rollbacks += e.diverged ? 1 : 0;
-        rec.stats.checkpointPages += e.dirtyPages;
-        rec.stats.tpTotalCycles += e.tpCycles;
-        rec.stats.epTotalCycles += e.epCycles;
-        rec.stats.tpInstrs += e.tpInstrs;
-        rec.stats.epInstrs += e.epInstrs;
-    }
-    rec.finalStateHash =
-        rec.epochs.empty()
-            ? Machine(rec.program(), rec.config()).stateHash()
-            : rec.epochs.back().endStateHash;
-    return out;
-}
-
-VerifyResult
-verifyImage(std::span<const std::uint8_t> bytes)
-{
-    VerifyResult out;
-    if (bytes.empty()) {
-        out.detail = "empty file";
-        return out;
-    }
-    // A journal's first byte is its header frame's kind; an
-    // artifact's is the low byte of its version word. They never
-    // collide, so one byte sniffs the format.
-    if (bytes[0] == journalHeaderKind) {
-        out.kind = UniplayFileKind::Journal;
-        RecoveredJournal rj = recoverJournal(bytes);
-        out.epochs = rj.report.framesRecovered;
-        // A lone v3 stream names its place in the sharded set so the
-        // verdict points the user at recovering the whole set.
-        const std::string what =
-            rj.report.streamCount > 1
-                ? detail::concat("journal stream ",
-                                 rj.report.streamIndex, "/",
-                                 rj.report.streamCount)
-                : std::string("journal");
-        if (rj.report.clean()) {
-            out.ok = true;
-            out.detail = detail::concat(
-                what, ": ", rj.report.framesRecovered,
-                " committed epoch frame(s), ",
-                rj.report.committedBytes,
-                " bytes, every checksum valid");
+                    JournalError::BadPayload, at,
+                    detail::concat("base epoch ", base,
+                                   " is out of range")};
+            h.stream = {static_cast<std::uint32_t>(stream),
+                        static_cast<std::uint32_t>(count), base};
+            h.sharedSuffix = payload.subspan(suffix);
+        } else if (version == journalVersion) {
+            h.sharedSuffix = payload;
         } else {
-            out.detail = detail::concat(
-                what, ": ", journalErrorName(rj.report.tailError),
-                " at byte ", rj.report.errorOffset, " (",
-                rj.report.detail, "); ", rj.report.framesRecovered,
-                " epoch frame(s) committed, ",
-                rj.report.bytesDiscarded, " byte(s) lost");
+            throw FrameScanError{
+                JournalError::BadVersion, at,
+                detail::concat("unsupported journal version ", version)};
         }
-        return out;
-    }
-    if (bytes.size() < 8) {
-        // Too short to even carry an artifact's magic word.
-        out.detail = "not a uniplay artifact or journal";
-        return out;
-    }
-    RecordingLoadResult res = loadRecording(bytes);
-    if (res.ok()) {
-        out.kind = UniplayFileKind::Artifact;
-        out.ok = true;
-        out.epochs = res.recording->epochs.size();
-        out.detail = detail::concat(
-            "artifact: ", out.epochs, " epoch(s), ", bytes.size(),
-            " bytes, structurally valid");
-        return out;
-    }
-    if (res.error == LoadError::BadMagic) {
-        out.detail = "not a uniplay artifact or journal";
-        return out;
-    }
-    out.kind = UniplayFileKind::Artifact;
-    out.detail = detail::concat(
-        "artifact: ", loadErrorName(res.error), " at byte ",
-        res.errorOffset, " (", res.detail, ")");
-    return out;
+        h.prog = readGuestProgram(p);
+        h.cfg = readMachineConfig(p);
+        h.fingerprint = p.u64fixed();
+        if (!p.atEnd())
+            throw FrameScanError{JournalError::BadPayload, at + p.pos(),
+                                 "trailing bytes in the header payload"};
+        return h;
+    });
 }
+
+std::vector<std::uint8_t>
+encodeEpochPayload(const EpochRecord &e, std::uint64_t index,
+                   std::uint32_t stream_count)
+{
+    ByteWriter p;
+    p.varu(index);
+    if (stream_count > 1)
+        p.varu(index / stream_count);
+    p.varu(e.dirtyPages);
+    p.varu(e.tpInstrs);
+    writeEpochRecord(p, e);
+    return p.take();
+}
+
+EpochKey
+decodeEpochKey(ByteReader &p, const StreamInfo &id, std::size_t at)
+{
+    return decodeAt(at, "epoch", [&] {
+        EpochKey k;
+        k.index = p.varu();
+        k.seq = id.streamCount > 1 ? p.varu() : k.index;
+        if (k.index % id.streamCount != id.streamIndex)
+            throw FrameScanError{
+                JournalError::BadEpochIndex, at,
+                detail::concat("epoch ", k.index,
+                               " does not belong to stream ",
+                               id.streamIndex)};
+        if (k.seq != k.index / id.streamCount)
+            throw FrameScanError{
+                JournalError::BadEpochIndex, at,
+                detail::concat("sequence ", k.seq,
+                               " contradicts epoch ", k.index)};
+        return k;
+    });
+}
+
+EpochRecord
+decodeEpochPayload(std::span<const std::uint8_t> payload,
+                   const StreamInfo &id, std::size_t at, EpochKey *key)
+{
+    return decodeAt(at, "epoch", [&] {
+        ByteReader p(payload);
+        const EpochKey k = decodeEpochKey(p, id, at);
+        const std::uint64_t dirty = p.varu();
+        const std::uint64_t tp_instrs = p.varu();
+        EpochRecord e = readEpochRecord(p, k.index);
+        if (!p.atEnd())
+            throw FrameScanError{JournalError::BadPayload, at + p.pos(),
+                                 "trailing bytes in an epoch payload"};
+        e.dirtyPages = dirty;
+        e.tpInstrs = tp_instrs;
+        if (key)
+            *key = k;
+        return e;
+    });
+}
+
+} // namespace journal_detail
 
 } // namespace dp

@@ -20,31 +20,24 @@
  * journal -> artifact conversion byte-identical to an uninterrupted
  * run's serializeRecording output.
  *
- * recoverJournal() scans a journal image, validates every frame, and
- * returns the longest committed prefix as a replayable Recording plus
- * a structured RecoveryReport — it never panics, whatever the bytes.
- * UniparallelRecorder::resume() then continues recording from that
- * prefix's boundary.
+ * One writer (ShardedJournalWriter, sharded.hh) emits every journal,
+ * and one recovery (recoverShardedJournal) reads it back: a single
+ * stream is the N == 1 case, spelled as a version-2 image. Recovery
+ * validates every frame and returns the longest committed prefix as a
+ * replayable Recording plus a structured RecoveryReport — it never
+ * panics, whatever the bytes. UniparallelRecorder::resume() then
+ * continues recording from that prefix's boundary.
  */
 
 #ifndef DP_JOURNAL_JOURNAL_HH
 #define DP_JOURNAL_JOURNAL_HH
 
 #include <cstdint>
-#include <cstdio>
-#include <memory>
 #include <span>
 #include <string>
-#include <vector>
-
-#include "core/recording.hh"
-#include "exec/executor.hh"
-#include "fault/fault.hh"
 
 namespace dp
 {
-
-class TraceRecorder;
 
 /** "DPJL" — distinguishes a journal from a "DPLY" artifact. */
 inline constexpr std::uint32_t journalMagic = 0x44504a4c;
@@ -63,136 +56,13 @@ inline constexpr std::uint8_t journalEpochKind = 2;
 /** Trailing byte of every committed frame. */
 inline constexpr std::uint8_t journalCommitMarker = 0x5a;
 
-/**
- * Streams a journal as a record session progresses. Wire
- * appendEpoch() into RecordObserver::onEpochCommitted; committed
- * epochs are final (rollbacks squash only speculation), so every
- * frame written is permanent.
- *
- * The writer doubles as the crash surface for the fault matrix: at
- * each append it consults the injector's JournalCrash /
- * TornFrameWrite / JournalBitFlip sites (scope = epoch index) and
- * damages its own output exactly the way a dying writer or flaky disk
- * would, so recovery is tested against deterministic reproductions of
- * real failure shapes.
- */
-class JournalWriter
+/** Which stream of which set a journal image is, as its header
+ *  claims. A version-2 image is stream 0 of 1 with baseEpoch 0. */
+struct StreamInfo
 {
-  public:
-    /** Start a fresh journal; the header frame is emitted (and
-     *  streamed, once streamTo() attaches a file) immediately. */
-    JournalWriter(const GuestProgram &prog, const MachineConfig &cfg,
-                  std::uint64_t options_fingerprint,
-                  FaultInjector *faults = nullptr);
-
-    /**
-     * Continue an existing journal. @p valid_prefix must be the
-     * committed prefix recoverJournal() validated (header +
-     * @p next_epoch_index epoch frames); new epochs append after it.
-     */
-    JournalWriter(std::vector<std::uint8_t> valid_prefix,
-                  std::uint64_t next_epoch_index,
-                  FaultInjector *faults = nullptr);
-
-    JournalWriter(const JournalWriter &) = delete;
-    JournalWriter &operator=(const JournalWriter &) = delete;
-    ~JournalWriter();
-
-    /** Append epoch @p index's frame; consults the journal fault
-     *  sites. Appends after a fatal fault are dropped, exactly as a
-     *  dead writer process would drop them. In asynchronous mode
-     *  (enableAsyncCommit) this hands the epoch off and returns; the
-     *  frame commits on the committer thread, still in append
-     *  order. */
-    void appendEpoch(const EpochRecord &e, EpochId index);
-
-    /**
-     * Move frame serialization, checksumming and file streaming onto
-     * a dedicated committer thread: appendEpoch() then costs the
-     * producer one EpochRecord copy instead of a CRC over the whole
-     * frame. A bounded double-buffer (one frame committing, one
-     * queued) back-pressures the producer past two outstanding
-     * appends. Frames still commit strictly in append order, so the
-     * committed-prefix crash guarantee is unchanged and the journal
-     * bytes are identical to synchronous mode. Call before the first
-     * append; idempotent.
-     */
-    void enableAsyncCommit();
-
-    /** Block until every handed-off append has committed (and
-     *  streamed, if a file is attached). No-op in synchronous mode;
-     *  every accessor below flushes first, so readers never see a
-     *  half-committed state. */
-    void
-    flush() const
-    {
-        if (committer_)
-            committer_->drain();
-    }
-
-    /** False once a JournalCrash / TornFrameWrite fault killed the
-     *  writer. */
-    bool
-    alive() const
-    {
-        flush();
-        return alive_;
-    }
-
-    /** The journal image as it exists on "disk" — including any torn
-     *  tail or bit flip the fault sites produced. */
-    const std::vector<std::uint8_t> &
-    bytes() const
-    {
-        flush();
-        return buf_;
-    }
-
-    /** Journal size after each fully-committed frame; frameEnds()[0]
-     *  is the header frame's end. Crash-sweep tests cut here. */
-    const std::vector<std::size_t> &
-    frameEnds() const
-    {
-        flush();
-        return frameEnds_;
-    }
-
-    /** Epoch frames this writer has committed (prefix included). */
-    std::uint64_t
-    epochsWritten() const
-    {
-        flush();
-        return nextIndex_;
-    }
-
-    /** Stream the journal to @p path: rewrites the bytes so far and
-     *  flushes every future frame as it commits. False (with a
-     *  warning) if the file cannot be opened. */
-    bool streamTo(const std::string &path);
-
-    /** Attach an observability sink (nullptr = off). Each successful
-     *  appendEpoch emits one "journal-append" span; observe-only —
-     *  never changes the journal bytes. */
-    void setTrace(TraceRecorder *tr) { trace_ = tr; }
-
-  private:
-    /** The synchronous append body; in asynchronous mode it runs on
-     *  the committer thread, strictly FIFO. */
-    void commitEpoch(const EpochRecord &e, EpochId index);
-    void flushTail();
-
-    std::vector<std::uint8_t> buf_;
-    std::vector<std::size_t> frameEnds_;
-    std::uint64_t nextIndex_ = 0;
-    bool alive_ = true;
-    FaultInjector *faults_ = nullptr;
-    TraceRecorder *trace_ = nullptr;
-    std::FILE *file_ = nullptr;
-    std::size_t flushed_ = 0;
-    /** Single-worker commit pool (enableAsyncCommit); null in the
-     *  synchronous default. All writer state above is touched only
-     *  under its FIFO order — readers synchronize via flush(). */
-    std::unique_ptr<Executor> committer_;
+    std::uint32_t streamIndex = 0;
+    std::uint32_t streamCount = 1;
+    std::uint64_t baseEpoch = 0;
 };
 
 /** Why a journal scan stopped (or could not start). */
@@ -270,31 +140,6 @@ struct RecoveryReport
         return headerOk && tailError == JournalError::None;
     }
 };
-
-/** Result of recoverJournal(). */
-struct RecoveredJournal
-{
-    /** The committed prefix as a replayable Recording (its
-     *  finalStateHash is the last committed epoch's digest, so it
-     *  replay-verifies as-is). Non-null exactly when report.headerOk
-     *  and the image is a whole journal (report.streamCount == 1) —
-     *  a lone v3 stream scans to a report only; merge the full set
-     *  with recoverShardedJournal() (sharded.hh) to get a
-     *  Recording. */
-    std::unique_ptr<Recording> recording;
-    /** RecorderOptions fingerprint stored in the header frame;
-     *  resume refuses to continue under mismatched options. */
-    std::uint64_t optionsFingerprint = 0;
-    RecoveryReport report;
-};
-
-/**
- * Scan @p bytes, validate every frame, and return the longest
- * committed prefix plus a report on the tail. Fail-closed: malformed
- * input of any shape — truncation, bit flips, garbage — yields a
- * structured report, never a crash or unbounded allocation.
- */
-RecoveredJournal recoverJournal(std::span<const std::uint8_t> bytes);
 
 /** What kind of uniplay file a byte image is. */
 enum class UniplayFileKind : std::uint8_t

@@ -14,30 +14,21 @@
 namespace dp
 {
 
+using journal_detail::decodeEpochKey;
+using journal_detail::decodeEpochPayload;
+using journal_detail::decodeHeaderPayload;
+using journal_detail::encodeEpochPayload;
+using journal_detail::encodeHeaderPayload;
+using journal_detail::EpochKey;
 using journal_detail::Frame;
 using journal_detail::FrameScanError;
+using journal_detail::JournalHeader;
 using journal_detail::makeFrame;
 using journal_detail::parseFrame;
 using journal_detail::reportScanStop;
 
 namespace
 {
-
-std::vector<std::uint8_t>
-streamHeaderPayload(std::uint32_t stream, std::uint32_t count,
-                    std::uint64_t base, const GuestProgram &prog,
-                    const MachineConfig &cfg, std::uint64_t fingerprint)
-{
-    ByteWriter p;
-    p.u64fixed((std::uint64_t{journalMagic} << 32) | journalVersion3);
-    p.varu(stream);
-    p.varu(count);
-    p.varu(base);
-    writeGuestProgram(p, prog);
-    writeMachineConfig(p, cfg);
-    p.u64fixed(fingerprint);
-    return p.take();
-}
 
 /** First epoch index >= @p base owned by stream @p s of @p n. */
 std::uint64_t
@@ -55,6 +46,40 @@ epochsOwnedBelow(std::uint64_t base, std::uint64_t limit, unsigned s,
     return limit > first ? (limit - first + n - 1) / n : 0;
 }
 
+/** Offset of @p payload within @p image. */
+std::size_t
+offsetIn(std::span<const std::uint8_t> image,
+         std::span<const std::uint8_t> payload)
+{
+    return static_cast<std::size_t>(payload.data() - image.data());
+}
+
+/** Parse and decode the header frame @p bytes starts with, leaving
+ *  @p pos past it. Throws FrameScanError. */
+JournalHeader
+readHeaderFrame(std::span<const std::uint8_t> bytes, std::size_t &pos)
+{
+    Frame header = parseFrame(bytes, pos);
+    if (header.kind != journalHeaderKind)
+        throw FrameScanError{JournalError::MissingHeader, 0,
+                             "first frame is not a header frame"};
+    return decodeHeaderPayload(header.payload,
+                               offsetIn(bytes, header.payload));
+}
+
+/** The fault sites a writer consults: N == 1 keeps the v2 journal's
+ *  own sites (and so their decision streams). */
+struct WriterSites
+{
+    FaultSite crash, torn, flip;
+};
+constexpr WriterSites journalSites{FaultSite::JournalCrash,
+                                   FaultSite::TornFrameWrite,
+                                   FaultSite::JournalBitFlip};
+constexpr WriterSites streamSites{FaultSite::StreamCrash,
+                                  FaultSite::StreamTornWrite,
+                                  FaultSite::StreamBitFlip};
+
 /** One validated epoch frame, located for the decode phase. */
 struct FrameRef
 {
@@ -68,13 +93,8 @@ struct FrameRef
 struct StreamScan
 {
     RecoveryReport report;
-    std::uint32_t version = 0;
-    std::uint64_t fingerprint = 0;
-    std::optional<GuestProgram> prog;
-    std::optional<MachineConfig> cfg;
-    /** Header payload after the streamIndex varint — byte-identical
-     *  across the streams of one journal (v2: the whole payload). */
-    std::vector<std::uint8_t> sharedSuffix;
+    /** The decoded header (meaningful once report.headerOk). */
+    JournalHeader header;
     std::vector<FrameRef> frames;
     std::uint64_t firstSeq = 0;
     std::size_t headerEnd = 0;
@@ -84,7 +104,7 @@ struct StreamScan
 /**
  * Phase A: validate one stream image — frame envelopes, CRCs, and the
  * sequence/index dependency metadata — without decoding epoch bodies.
- * Fail-closed; the report mirrors recoverJournal's verdicts.
+ * Fail-closed.
  */
 StreamScan
 scanStream(std::span<const std::uint8_t> bytes)
@@ -101,73 +121,22 @@ scanStream(std::span<const std::uint8_t> bytes)
 
     std::size_t pos = 0;
     try {
-        Frame header = parseFrame(bytes, pos);
-        if (header.kind != journalHeaderKind)
-            throw FrameScanError{JournalError::MissingHeader, 0,
-                                 "first frame is not a header frame"};
-        ByteReader p(header.payload);
-        std::uint64_t magic = p.u64fixed();
-        if (magic >> 32 != journalMagic)
-            throw FrameScanError{JournalError::BadMagic, 0,
-                                 "not a uniplay epoch journal"};
-        sc.version = static_cast<std::uint32_t>(magic & 0xffffffff);
-        if (sc.version != journalVersion &&
-            sc.version != journalVersion3)
-            throw FrameScanError{
-                JournalError::BadVersion, 0,
-                detail::concat("unsupported journal version ",
-                               sc.version)};
-        if (sc.version == journalVersion3) {
-            std::uint64_t stream = p.varu();
-            sc.sharedSuffix.assign(
-                header.payload.begin() + p.pos(),
-                header.payload.end());
-            std::uint64_t count = p.varu();
-            if (count == 0 || stream >= count)
-                throw FrameScanError{
-                    JournalError::BadPayload, 0,
-                    detail::concat("stream ", stream, " of ", count,
-                                   " is not a valid stream identity")};
-            rep.streamIndex = static_cast<std::uint32_t>(stream);
-            rep.streamCount = static_cast<std::uint32_t>(count);
-            rep.baseEpoch = p.varu();
-        } else {
-            sc.sharedSuffix.assign(header.payload.begin(),
-                                   header.payload.end());
-        }
-        sc.prog = readGuestProgram(p);
-        sc.cfg = readMachineConfig(p);
-        sc.fingerprint = p.u64fixed();
-        if (!p.atEnd())
-            throw FrameScanError{
-                JournalError::BadPayload, pos,
-                "trailing bytes in the header payload"};
+        sc.header = readHeaderFrame(bytes, pos);
     } catch (const FrameScanError &f) {
         reportScanStop(rep, f);
         return sc;
-    } catch (const RecordingDecodeError &f) {
-        reportScanStop(rep, {JournalError::BadPayload, f.offset,
-                             f.detail});
-        return sc;
-    } catch (const ByteStreamError &e) {
-        reportScanStop(rep, {JournalError::BadPayload, e.offset,
-                             "header payload ended early"});
-        return sc;
-    } catch (const std::bad_alloc &) {
-        reportScanStop(rep, {JournalError::BadPayload, 0,
-                             "allocation rejected while recovering"});
-        return sc;
     }
 
+    const StreamInfo &id = sc.header.stream;
     rep.headerOk = true;
+    rep.streamIndex = id.streamIndex;
+    rep.streamCount = id.streamCount;
+    rep.baseEpoch = id.baseEpoch;
     rep.committedBytes = pos;
     sc.headerEnd = pos;
     sc.firstSeq =
-        sc.version == journalVersion3
-            ? firstIndexOwned(rep.baseEpoch, rep.streamIndex,
-                              rep.streamCount) /
-                  rep.streamCount
-            : 0;
+        firstIndexOwned(id.baseEpoch, id.streamIndex, id.streamCount) /
+        id.streamCount;
     try {
         while (pos < bytes.size()) {
             std::size_t frame_start = pos;
@@ -176,50 +145,21 @@ scanStream(std::span<const std::uint8_t> bytes)
                 throw FrameScanError{
                     JournalError::BadFrameKind, frame_start,
                     "header frame after frame 0"};
+            const std::size_t at = offsetIn(bytes, f.payload);
             ByteReader p(f.payload);
-            std::uint64_t index = p.varu();
-            if (sc.version == journalVersion3) {
-                std::uint64_t seq = p.varu();
-                std::uint64_t expect = sc.firstSeq + sc.frames.size();
-                if (index % rep.streamCount != rep.streamIndex)
-                    throw FrameScanError{
-                        JournalError::BadEpochIndex, frame_start,
-                        detail::concat("epoch ", index,
-                                       " does not belong to stream ",
-                                       rep.streamIndex)};
-                if (seq != index / rep.streamCount)
-                    throw FrameScanError{
-                        JournalError::BadEpochIndex, frame_start,
-                        detail::concat("sequence ", seq,
-                                       " contradicts epoch ", index)};
-                if (seq != expect)
-                    throw FrameScanError{
-                        JournalError::BadEpochIndex, frame_start,
-                        detail::concat("stream sequence ", seq,
-                                       " where ", expect,
-                                       " expected")};
-            } else if (index != sc.frames.size()) {
+            const EpochKey k = decodeEpochKey(p, id, at);
+            const std::uint64_t expect = sc.firstSeq + sc.frames.size();
+            if (k.seq != expect)
                 throw FrameScanError{
                     JournalError::BadEpochIndex, frame_start,
-                    detail::concat("epoch frame ", index, " where ",
-                                   sc.frames.size(), " expected")};
-            }
-            sc.frames.push_back(
-                {index,
-                 static_cast<std::size_t>(f.payload.data() -
-                                          bytes.data()),
-                 f.payload.size(), pos});
+                    detail::concat("stream sequence ", k.seq, " where ",
+                                   expect, " expected")};
+            sc.frames.push_back({k.index, at, f.payload.size(), pos});
             rep.committedBytes = pos;
             ++rep.framesRecovered;
         }
     } catch (const FrameScanError &f) {
         reportScanStop(rep, f);
-    } catch (const ByteStreamError &e) {
-        reportScanStop(rep, {JournalError::BadPayload, e.offset,
-                             "epoch payload ended early"});
-    } catch (const std::bad_alloc &) {
-        reportScanStop(rep, {JournalError::BadPayload, pos,
-                             "allocation rejected while recovering"});
     }
     rep.bytesDiscarded = bytes.size() - rep.committedBytes;
     return sc;
@@ -239,44 +179,82 @@ struct DecodeFailure
 std::optional<StreamInfo>
 peekStreamInfo(std::span<const std::uint8_t> bytes)
 {
-    if (bytes.empty() || bytes[0] != journalHeaderKind)
-        return std::nullopt;
     try {
         std::size_t pos = 0;
-        Frame header = parseFrame(bytes, pos);
-        if (header.kind != journalHeaderKind)
-            return std::nullopt;
-        ByteReader p(header.payload);
-        std::uint64_t magic = p.u64fixed();
-        if (magic >> 32 != journalMagic ||
-            (magic & 0xffffffff) != journalVersion3)
-            return std::nullopt;
-        StreamInfo si;
-        si.streamIndex = static_cast<std::uint32_t>(p.varu());
-        si.streamCount = static_cast<std::uint32_t>(p.varu());
-        si.baseEpoch = p.varu();
-        if (si.streamCount == 0 || si.streamIndex >= si.streamCount)
+        const StreamInfo si = readHeaderFrame(bytes, pos).stream;
+        if (si.streamCount == 1)
             return std::nullopt;
         return si;
-    } catch (...) {
+    } catch (const FrameScanError &) {
         return std::nullopt;
     }
 }
 
-namespace journal_detail
+VerifyResult
+verifyImage(std::span<const std::uint8_t> bytes)
 {
-
-RecoveredJournal
-recoverStreamReport(std::span<const std::uint8_t> bytes)
-{
-    StreamScan sc = scanStream(bytes);
-    RecoveredJournal out;
-    out.report = std::move(sc.report);
-    out.optionsFingerprint = sc.fingerprint;
+    VerifyResult out;
+    if (bytes.empty()) {
+        out.detail = "empty file";
+        return out;
+    }
+    // A journal's first byte is its header frame's kind; an
+    // artifact's is the low byte of its version word. They never
+    // collide, so one byte sniffs the format.
+    if (bytes[0] == journalHeaderKind) {
+        out.kind = UniplayFileKind::Journal;
+        // A whole journal recovers in full; a lone stream of a sharded
+        // set can only be scanned, and names its place in the set so
+        // the verdict points the user at recovering the whole set.
+        const std::optional<StreamInfo> si = peekStreamInfo(bytes);
+        const RecoveryReport rep =
+            si ? scanStream(bytes).report
+               : recoverShardedJournal({bytes}).report;
+        const std::string what =
+            si ? detail::concat("journal stream ", si->streamIndex, "/",
+                                si->streamCount)
+               : std::string("journal");
+        out.epochs = rep.framesRecovered;
+        if (rep.clean()) {
+            out.ok = true;
+            out.detail = detail::concat(
+                what, ": ", rep.framesRecovered,
+                " committed epoch frame(s), ", rep.committedBytes,
+                " bytes, every checksum valid");
+        } else {
+            out.detail = detail::concat(
+                what, ": ", journalErrorName(rep.tailError),
+                " at byte ", rep.errorOffset, " (", rep.detail, "); ",
+                rep.framesRecovered, " epoch frame(s) committed, ",
+                rep.bytesDiscarded, " byte(s) lost");
+        }
+        return out;
+    }
+    if (bytes.size() < 8) {
+        // Too short to even carry an artifact's magic word.
+        out.detail = "not a uniplay artifact or journal";
+        return out;
+    }
+    RecordingLoadResult res = loadRecording(bytes);
+    if (res.ok()) {
+        out.kind = UniplayFileKind::Artifact;
+        out.ok = true;
+        out.epochs = res.recording->epochs.size();
+        out.detail = detail::concat(
+            "artifact: ", out.epochs, " epoch(s), ", bytes.size(),
+            " bytes, structurally valid");
+        return out;
+    }
+    if (res.error == LoadError::BadMagic) {
+        out.detail = "not a uniplay artifact or journal";
+        return out;
+    }
+    out.kind = UniplayFileKind::Artifact;
+    out.detail = detail::concat(
+        "artifact: ", loadErrorName(res.error), " at byte ",
+        res.errorOffset, " (", res.detail, ")");
     return out;
 }
-
-} // namespace journal_detail
 
 // ---------------------------------------------------------------------------
 // ShardedJournalWriter
@@ -289,21 +267,9 @@ ShardedJournalWriter::ShardedJournalWriter(
       segmentEpochs_(opts.segmentEpochs), faults_(faults),
       prog_(prog), cfg_(cfg), fingerprint_(options_fingerprint)
 {
-    if (streams_ == 1) {
-        v2_ = std::make_unique<JournalWriter>(
-            prog, cfg, options_fingerprint, faults);
-        return;
-    }
     shards_.resize(streams_);
-    for (unsigned s = 0; s < streams_; ++s) {
-        shards_[s].buf = makeFrame(
-            journalHeaderKind,
-            streamHeaderPayload(s, streams_, base_, prog, cfg,
-                                options_fingerprint));
-        shards_[s].frameEnds.push_back(shards_[s].buf.size());
-        shards_[s].nextSeq = firstIndexOwned(base_, s, streams_) /
-                             streams_;
-    }
+    for (unsigned s = 0; s < streams_; ++s)
+        startStream(s);
 }
 
 ShardedJournalWriter::ShardedJournalWriter(
@@ -314,20 +280,6 @@ ShardedJournalWriter::ShardedJournalWriter(
 {
     dp_assert(valid_prefixes.size() == streams_,
               "resume prefixes must match the stream count");
-    if (streams_ == 1) {
-        // A v2 prefix: recoverJournal rederives the epoch cursor and
-        // header ingredients from the (trusted valid) bytes.
-        RecoveredJournal rj = recoverJournal(valid_prefixes[0]);
-        dp_assert(rj.report.clean(),
-                  "resume prefix must be a validated journal prefix");
-        prog_ = rj.recording->program();
-        cfg_ = rj.recording->config();
-        fingerprint_ = rj.optionsFingerprint;
-        nextIndex_ = rj.report.framesRecovered;
-        v2_ = std::make_unique<JournalWriter>(
-            std::move(valid_prefixes[0]), nextIndex_, faults);
-        return;
-    }
     shards_.resize(streams_);
     // Pass 1: scan the surviving prefixes. Any survivor can donate
     // the shared header ingredients — recovery already cross-checked
@@ -338,18 +290,16 @@ ShardedJournalWriter::ShardedJournalWriter(
         if (valid_prefixes[s].empty())
             continue;
         scans[s] = scanStream(valid_prefixes[s]);
-        const StreamScan &sc = scans[s];
-        dp_assert(sc.report.clean() &&
-                      sc.version == journalVersion3 &&
-                      sc.report.streamIndex == s &&
+        StreamScan &sc = scans[s];
+        dp_assert(sc.report.clean() && sc.report.streamIndex == s &&
                       sc.report.streamCount == streams_,
                   "resume prefix must be a validated stream prefix");
         if (!have_shared) {
             have_shared = true;
             base_ = sc.report.baseEpoch;
-            prog_ = std::move(scans[s].prog);
-            cfg_ = std::move(scans[s].cfg);
-            fingerprint_ = sc.fingerprint;
+            prog_ = std::move(sc.header.prog);
+            cfg_ = std::move(sc.header.cfg);
+            fingerprint_ = sc.header.fingerprint;
         }
     }
     dp_assert(have_shared,
@@ -362,13 +312,7 @@ ShardedJournalWriter::ShardedJournalWriter(
             // header-only. The consistent cut is at or below its
             // first owned index, so the reborn stream owes no epoch
             // the resumed session will not re-append.
-            st.buf = makeFrame(
-                journalHeaderKind,
-                streamHeaderPayload(s, streams_, base_, *prog_,
-                                    *cfg_, fingerprint_));
-            st.frameEnds.push_back(st.buf.size());
-            st.nextSeq =
-                firstIndexOwned(base_, s, streams_) / streams_;
+            startStream(s);
         } else {
             StreamScan &sc = scans[s];
             st.buf = std::move(valid_prefixes[s]);
@@ -407,6 +351,23 @@ ShardedJournalWriter::firstIndexOf(unsigned s) const
     return firstIndexOwned(base_, s, streams_);
 }
 
+std::vector<std::uint8_t>
+ShardedJournalWriter::headerFrame(unsigned s, std::uint64_t base) const
+{
+    return makeFrame(journalHeaderKind,
+                     encodeHeaderPayload({s, streams_, base}, *prog_,
+                                         *cfg_, fingerprint_));
+}
+
+void
+ShardedJournalWriter::startStream(unsigned s)
+{
+    Stream &st = shards_[s];
+    st.buf = headerFrame(s, base_);
+    st.frameEnds.assign(1, st.buf.size());
+    st.nextSeq = seqOf(firstIndexOf(s));
+}
+
 std::string
 ShardedJournalWriter::streamPath(const std::string &base, unsigned s,
                                  unsigned n)
@@ -417,17 +378,15 @@ ShardedJournalWriter::streamPath(const std::string &base, unsigned s,
 void
 ShardedJournalWriter::enableAsyncCommit()
 {
-    if (v2_) {
-        v2_->enableAsyncCommit();
-        return;
-    }
     if (pool_)
         return;
     // One strand per stream on a shared pool: same-stream commits
     // stay FIFO (the crash guarantee is per stream), different
     // streams overlap — that overlap is the commit-throughput
     // scaling. At most one drain task per stream is ever queued, so
-    // capacity == streams_ means submit() never blocks.
+    // capacity == streams_ means submit() never blocks. The pool is
+    // deliberately untraced: journal-append spans already cover the
+    // work.
     pool_ = std::make_unique<Executor>(
         streams_, ExecutorOptions{.queueCapacity = streams_});
 }
@@ -438,18 +397,14 @@ ShardedJournalWriter::appendEpoch(const EpochRecord &e, EpochId index)
     dp_assert(index == nextIndex_,
               "journal epochs must append in commit order");
     ++nextIndex_;
-    if (v2_) {
-        v2_->appendEpoch(e, index);
-        return;
-    }
     const unsigned s = static_cast<unsigned>(index % streams_);
     if (!pool_) {
         commitToStream(s, e, index);
         return;
     }
     std::unique_lock<std::mutex> lock(mu_);
-    // Mirror the v2 bounded double-buffer per stream: one epoch
-    // committing, one queued, then the producer back-pressures.
+    // A bounded double-buffer per stream: one epoch committing, one
+    // queued, then the producer back-pressures.
     room_.wait(lock,
                [&] { return shards_[s].pending.size() < 2; });
     shards_[s].pending.emplace_back(e, index);
@@ -495,25 +450,23 @@ ShardedJournalWriter::commitToStream(unsigned s, const EpochRecord &e,
     span.arg("epoch", index);
     span.arg("stream", s);
 
-    if (faults_ && faults_->fire(FaultSite::StreamCrash, index)) {
+    const WriterSites &sites =
+        streams_ == 1 ? journalSites : streamSites;
+    // A committer that dies between frames leaves its stream ending
+    // exactly at a frame boundary: the best crash shape.
+    if (faults_ && faults_->fire(sites.crash, index)) {
         st.aliveFlag = false;
         return;
     }
 
-    ByteWriter p;
-    p.varu(index);
-    p.varu(seq);
-    p.varu(e.dirtyPages);
-    p.varu(e.tpInstrs);
-    writeEpochRecord(p, e);
-    std::vector<std::uint8_t> frame =
-        makeFrame(journalEpochKind, p.take());
+    std::vector<std::uint8_t> frame = makeFrame(
+        journalEpochKind, encodeEpochPayload(e, index, streams_));
     span.arg("bytes", frame.size());
 
-    if (faults_ &&
-        faults_->fire(FaultSite::StreamTornWrite, index)) {
+    if (faults_ && faults_->fire(sites.torn, index)) {
         // Died mid-write on this stream only: a deterministic strict
-        // prefix lands, siblings keep committing.
+        // prefix lands (the commit marker never does), siblings keep
+        // committing.
         std::size_t torn =
             1 + static_cast<std::size_t>(
                     mix64(0x7042f6a3c01d58b9ull ^
@@ -527,7 +480,9 @@ ShardedJournalWriter::commitToStream(unsigned s, const EpochRecord &e,
     }
 
     st.buf.insert(st.buf.end(), frame.begin(), frame.end());
-    if (faults_ && faults_->fire(FaultSite::StreamBitFlip, index)) {
+    if (faults_ && faults_->fire(sites.flip, index)) {
+        // Storage corruption inside the committed frame; the frame
+        // CRC (or commit marker check) must catch it on recovery.
         std::uint64_t h = mix64(0xb17f11b2d9c04e6full ^
                                 (index * 0x9e3779b97f4a7c15ull));
         std::size_t pos = st.buf.size() - frame.size() +
@@ -543,10 +498,6 @@ ShardedJournalWriter::commitToStream(unsigned s, const EpochRecord &e,
 void
 ShardedJournalWriter::flush() const
 {
-    if (v2_) {
-        v2_->flush();
-        return;
-    }
     if (!pool_)
         return;
     std::unique_lock<std::mutex> lock(mu_);
@@ -561,8 +512,6 @@ ShardedJournalWriter::flush() const
 bool
 ShardedJournalWriter::alive() const
 {
-    if (v2_)
-        return v2_->alive();
     flush();
     for (const Stream &st : shards_)
         if (!st.aliveFlag)
@@ -573,8 +522,6 @@ ShardedJournalWriter::alive() const
 bool
 ShardedJournalWriter::streamAlive(unsigned s) const
 {
-    if (v2_)
-        return v2_->alive();
     flush();
     return shards_[s].aliveFlag;
 }
@@ -588,8 +535,6 @@ ShardedJournalWriter::epochsWritten() const
 const std::vector<std::uint8_t> &
 ShardedJournalWriter::streamBytes(unsigned s) const
 {
-    if (v2_)
-        return v2_->bytes();
     flush();
     return shards_[s].buf;
 }
@@ -597,8 +542,6 @@ ShardedJournalWriter::streamBytes(unsigned s) const
 const std::vector<std::size_t> &
 ShardedJournalWriter::streamFrameEnds(unsigned s) const
 {
-    if (v2_)
-        return v2_->frameEnds();
     flush();
     return shards_[s].frameEnds;
 }
@@ -617,7 +560,7 @@ std::size_t
 ShardedJournalWriter::truncateCoveredSegments(
     std::uint64_t durable_epoch)
 {
-    if (v2_ || segmentEpochs_ == 0)
+    if (streams_ == 1 || segmentEpochs_ == 0)
         return 0;
     // Nothing beyond the append cursor exists to be covered, and
     // truncating past it would leave stream headers claiming a base
@@ -640,10 +583,7 @@ ShardedJournalWriter::truncateCoveredSegments(
         const std::uint64_t drop = std::min<std::uint64_t>(
             in_buf, keep_from_seq - first_seq);
 
-        std::vector<std::uint8_t> fresh = makeFrame(
-            journalHeaderKind,
-            streamHeaderPayload(s, streams_, new_base, *prog_, *cfg_,
-                                fingerprint_));
+        std::vector<std::uint8_t> fresh = headerFrame(s, new_base);
         const std::size_t header_end = fresh.size();
         const std::size_t cut = st.frameEnds[drop];
         fresh.insert(fresh.end(), st.buf.begin() + cut,
@@ -668,10 +608,6 @@ ShardedJournalWriter::truncateCoveredSegments(
 bool
 ShardedJournalWriter::streamTo(const std::string &base)
 {
-    if (v2_) {
-        basePath_ = base;
-        return v2_->streamTo(base);
-    }
     flush();
     basePath_ = base;
     bool ok = true;
@@ -705,16 +641,6 @@ ShardedJournalWriter::flushTail(Stream &st)
         st.flushed = st.buf.size();
     }
     std::fflush(st.file);
-}
-
-void
-ShardedJournalWriter::setTrace(TraceRecorder *tr)
-{
-    if (v2_) {
-        v2_->setTrace(tr);
-        return;
-    }
-    trace_ = tr;
 }
 
 // ---------------------------------------------------------------------------
@@ -796,7 +722,9 @@ recoverShardedJournal(
     std::map<std::vector<std::uint8_t>, std::vector<unsigned>> groups;
     for (unsigned s = 0; s < n; ++s)
         if (usable[s])
-            groups[scans[s].sharedSuffix].push_back(s);
+            groups[{scans[s].header.sharedSuffix.begin(),
+                    scans[s].header.sharedSuffix.end()}]
+                .push_back(s);
     const std::vector<unsigned> *majority = nullptr;
     for (const auto &[suffix, members] : groups) {
         if (!majority || members.size() > majority->size() ||
@@ -808,8 +736,9 @@ recoverShardedJournal(
         for (unsigned s = 0; s < n; ++s) {
             if (!usable[s])
                 continue;
-            if (scans[s].sharedSuffix !=
-                scans[(*majority)[0]].sharedSuffix) {
+            if (!std::ranges::equal(
+                    scans[s].header.sharedSuffix,
+                    scans[(*majority)[0]].header.sharedSuffix)) {
                 usable[s] = false;
                 scans[s].report.tailError =
                     JournalError::StreamMismatch;
@@ -842,7 +771,7 @@ recoverShardedJournal(
     const unsigned canonical = (*majority)[0];
     const std::uint64_t base = scans[canonical].report.baseEpoch;
     out.baseEpoch = base;
-    out.optionsFingerprint = scans[canonical].fingerprint;
+    out.optionsFingerprint = scans[canonical].header.fingerprint;
     out.report.headerOk = true;
     out.report.streamCount = n;
     out.report.baseEpoch = base;
@@ -881,38 +810,14 @@ recoverShardedJournal(
             const FrameRef &fr =
                 sc.frames[static_cast<std::size_t>(i / n -
                                                    sc.firstSeq)];
-            std::span<const std::uint8_t> payload =
-                streams[s].subspan(fr.payloadOff, fr.payloadLen);
             try {
-                ByteReader p(payload);
-                p.varu(); // epoch index — validated by the scan
-                if (sc.version == journalVersion3)
-                    p.varu(); // stream sequence — likewise
-                std::uint64_t dirty = p.varu();
-                std::uint64_t tp_instrs = p.varu();
-                EpochRecord e = readEpochRecord(p, i);
-                if (!p.atEnd())
-                    throw FrameScanError{
-                        JournalError::BadPayload, fr.payloadOff,
-                        "trailing bytes in an epoch payload"};
-                e.dirtyPages = dirty;
-                e.tpInstrs = tp_instrs;
                 epochs[static_cast<std::size_t>(i - base)] =
-                    std::move(e);
+                    decodeEpochPayload(
+                        streams[s].subspan(fr.payloadOff,
+                                           fr.payloadLen),
+                        sc.header.stream, fr.payloadOff);
             } catch (const FrameScanError &f) {
                 local = DecodeFailure{i, f.error, f.offset, f.detail};
-            } catch (const RecordingDecodeError &f) {
-                local = DecodeFailure{i, JournalError::BadPayload,
-                                      fr.payloadOff + f.offset,
-                                      f.detail};
-            } catch (const ByteStreamError &e2) {
-                local = DecodeFailure{i, JournalError::BadPayload,
-                                      fr.payloadOff + e2.offset,
-                                      "epoch payload ended early"};
-            } catch (const std::bad_alloc &) {
-                local = DecodeFailure{
-                    i, JournalError::BadPayload, fr.payloadOff,
-                    "allocation rejected while recovering"};
             }
         }
         if (local) {
@@ -1016,7 +921,7 @@ recoverShardedJournal(
         return out;
     }
     out.recording = std::make_unique<Recording>(
-        *scans[canonical].prog, *scans[canonical].cfg);
+        scans[canonical].header.prog, scans[canonical].header.cfg);
     Recording &rec = *out.recording;
     rec.epochs = std::move(epochs);
     rec.stats.epochs = static_cast<std::uint32_t>(rec.epochs.size());

@@ -3,25 +3,18 @@
  * Sharded epoch journal: N per-stream append-only logs with
  * partitioned parallel recovery.
  *
- * The single-stream journal (journal.hh) serializes every commit
- * through one CRC pipeline and recovers by scanning one image end to
- * end — the exact sequential-logging bottleneck DoublePlay's epoch
- * parallelism is supposed to remove. The sharded journal splits the
- * epoch stream round-robin across N stand-alone logs (epoch i lives
- * in stream i % N), each committed by its own strand on a shared
- * Executor, in the style of Taurus's per-worker log streams.
+ * One log serializes every commit through one CRC pipeline and
+ * recovers by scanning one image end to end — the exact
+ * sequential-logging bottleneck DoublePlay's epoch parallelism is
+ * supposed to remove. The sharded journal splits the epoch stream
+ * round-robin across N stand-alone logs (epoch i lives in stream
+ * i % N), each committed by its own strand on a shared Executor, in
+ * the style of Taurus's per-worker log streams.
  *
- * Each stream is a self-describing journalVersion3 image reusing the
- * v2 frame envelope (frame.hh):
- *
- *   header payload := u64fixed((magic << 32) | 3)
- *                     | varu streamIndex | varu streamCount
- *                     | varu baseEpoch
- *                     | guestProgram | machineConfig
- *                     | u64fixed optionsFingerprint
- *   epoch payload  := varu epochIndex | varu streamSeq
- *                     | varu dirtyPages | varu tpInstrs
- *                     | epochRecord
+ * Each stream is a self-describing image in the frame envelope of
+ * frame.hh. With N > 1 it is a journalVersion3 image: its header
+ * carries (streamIndex, streamCount, baseEpoch) and every epoch
+ * payload a streamSeq after its epochIndex.
  *
  * streamSeq = epochIndex / streamCount is the per-stream sequence
  * number: inside one stream it must be contiguous, and together with
@@ -41,9 +34,10 @@
  * partitioned across the exec pool — recovery wall-clock scales with
  * jobs, the result never does.
  *
- * With streams == 1 the writer delegates to JournalWriter and emits
- * byte-identical version-2 journals, and recoverShardedJournal
- * accepts a v2 image — the read-compat path.
+ * A single stream is the N == 1 case of the same writer and the same
+ * recovery, on the same strand machinery: it is spelled as a
+ * version-2 image (no stream identity, no streamSeq) and keeps the
+ * v2 journal's own fault sites.
  */
 
 #ifndef DP_JOURNAL_SHARDED_HH
@@ -60,10 +54,15 @@
 #include <string>
 #include <vector>
 
+#include "core/recording.hh"
+#include "exec/executor.hh"
+#include "fault/fault.hh"
 #include "journal/journal.hh"
 
 namespace dp
 {
+
+class TraceRecorder;
 
 /** Shape of a sharded journal. */
 struct ShardedJournalOptions
@@ -79,7 +78,9 @@ struct ShardedJournalOptions
 /**
  * Streams a sharded journal as a record session progresses. Epoch i
  * commits to stream i % N; wire appendEpoch() into
- * RecordObserver::onEpochCommitted exactly like JournalWriter.
+ * RecordObserver::onEpochCommitted; committed epochs are final
+ * (rollbacks squash only speculation), so every frame written is
+ * permanent.
  *
  * enableAsyncCommit() runs one committer strand per stream on a
  * shared Executor: commits to the same stream stay FIFO (the crash
@@ -87,10 +88,13 @@ struct ShardedJournalOptions
  * the commit-throughput scaling comes from. Stream bytes are
  * identical between synchronous and asynchronous modes.
  *
- * Per-stream fault sites (StreamCrash / StreamTornWrite /
- * StreamBitFlip, scope = epoch index) kill or corrupt one stream
- * while its siblings keep running, reproducing the partial-failure
- * shapes the cross-stream recovery tests pin.
+ * The writer doubles as the crash surface for the fault matrix: at
+ * each append it consults its fault sites (scope = epoch index) and
+ * damages its own output exactly the way a dying writer or flaky disk
+ * would. N > 1 uses the per-stream sites (StreamCrash /
+ * StreamTornWrite / StreamBitFlip), which kill or corrupt one stream
+ * while its siblings keep running; N == 1 uses JournalCrash /
+ * TornFrameWrite / JournalBitFlip.
  */
 class ShardedJournalWriter
 {
@@ -106,8 +110,7 @@ class ShardedJournalWriter
     /**
      * Continue from recovered stream prefixes. @p valid_prefixes must
      * be the per-stream committed prefixes recoverShardedJournal()
-     * validated, truncated to their keptBytes (for streams == 1, the
-     * one v2 prefix recoverJournal() validated). The next epoch index
+     * validated, truncated to their keptBytes. The next epoch index
      * and per-stream sequence numbers are rederived by re-scanning
      * the prefixes, which are trusted to be valid. An empty prefix
      * (a stream whose bytes were entirely lost; keptBytes == 0) is
@@ -186,8 +189,10 @@ class ShardedJournalWriter
     static std::string streamPath(const std::string &base, unsigned s,
                                   unsigned n);
 
-    /** Attach an observability sink (nullptr = off). */
-    void setTrace(TraceRecorder *tr);
+    /** Attach an observability sink (nullptr = off). Each committed
+     *  append emits one "journal-append" span on its stream's track;
+     *  observe-only — never changes the journal bytes. */
+    void setTrace(TraceRecorder *tr) { trace_ = tr; }
 
   private:
     struct Stream
@@ -209,6 +214,11 @@ class ShardedJournalWriter
     std::uint64_t seqOf(std::uint64_t index) const;
     /** First epoch index >= base_ owned by stream @p s. */
     std::uint64_t firstIndexOf(unsigned s) const;
+    /** A fresh header frame for stream @p s at base epoch @p base. */
+    std::vector<std::uint8_t> headerFrame(unsigned s,
+                                          std::uint64_t base) const;
+    /** Reset stream @p s to a header-only image at base_. */
+    void startStream(unsigned s);
     void commitToStream(unsigned s, const EpochRecord &e,
                         EpochId index);
     void drainStream(unsigned s);
@@ -227,8 +237,6 @@ class ShardedJournalWriter
     std::uint64_t fingerprint_ = 0;
     /** streamTo() base path; truncation restreams through it. */
     std::string basePath_;
-    /** streams_ == 1: the whole journal is this v2 writer. */
-    std::unique_ptr<JournalWriter> v2_;
     std::vector<Stream> shards_;
     std::unique_ptr<Executor> pool_;
     mutable std::mutex mu_;
@@ -279,39 +287,25 @@ struct RecoveredShardedJournal
 /**
  * Recover a sharded journal from its per-stream images (pass exactly
  * the full set, index-aligned; a lost stream file is an empty span).
- * A single v2 journal image passes through the same machinery, so
- * this is also the parallel-recovery path for unsharded journals.
+ * A single-stream journal is the one-image set: its version-2 image
+ * passes through the same machinery.
  *
  * Streams are scanned concurrently and the kept epochs decoded in
  * partitioned ranges across @p jobs workers on @p pool (nullptr: a
  * private pool of @p jobs workers; jobs <= 1 runs inline). The result
  * — recording bytes, reports, cut — is identical for every jobs
- * value; only wall-clock changes. Fail-closed like recoverJournal:
- * never panics, whatever the bytes.
+ * value; only wall-clock changes. Fail-closed: malformed input of
+ * any shape — truncation, bit flips, garbage — yields a structured
+ * report, never a crash or unbounded allocation.
  */
 RecoveredShardedJournal recoverShardedJournal(
     const std::vector<std::span<const std::uint8_t>> &streams,
     unsigned jobs = 1, Executor *pool = nullptr);
 
-/** Identity a v3 stream header claims. */
-struct StreamInfo
-{
-    std::uint32_t streamIndex = 0;
-    std::uint32_t streamCount = 1;
-    std::uint64_t baseEpoch = 0;
-};
-
 /** If @p bytes begins with a valid v3 stream header frame, its
  *  claimed identity; nullopt for v2 journals, artifacts, garbage. */
 std::optional<StreamInfo>
 peekStreamInfo(std::span<const std::uint8_t> bytes);
-
-namespace journal_detail
-{
-/** Scan one v3 stream image into a per-stream RecoveryReport (used
- *  by recoverJournal on a lone stream; recording stays null). */
-RecoveredJournal recoverStreamReport(std::span<const std::uint8_t> bytes);
-} // namespace journal_detail
 
 } // namespace dp
 

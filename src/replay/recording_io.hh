@@ -91,7 +91,7 @@ struct SectionMark
  * Thrown by the shared decode helpers on malformed input that is
  * structurally readable but semantically invalid (bad enum values,
  * absurd section lengths). loadRecording() and the journal's
- * recoverJournal() both catch it and surface a structured error;
+ * payload decoders both catch it and surface a structured error;
  * it never escapes a fail-closed loader.
  */
 struct RecordingDecodeError

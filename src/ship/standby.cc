@@ -1,13 +1,12 @@
 #include "ship/standby.hh"
 
+#include <algorithm>
 #include <sstream>
 #include <utility>
 
 #include "common/logging.hh"
 #include "journal/frame.hh"
-#include "journal/journal.hh"
 #include "journal/sharded.hh"
-#include "replay/recording_io.hh"
 
 namespace dp
 {
@@ -66,7 +65,7 @@ StandbyApplier::ackLocked(std::uint64_t seq, bool accepted) const
 std::uint64_t
 StandbyApplier::lagLocked() const
 {
-    return nextPersist_ - baseEpoch_ - replayed_;
+    return nextPersist_ - replayed_;
 }
 
 void
@@ -92,145 +91,87 @@ StandbyApplier::ingestLocked(unsigned s)
 {
     StreamState &st = streams_[s];
     const unsigned n = static_cast<unsigned>(streams_.size());
+    const std::string where = "stream " + std::to_string(s) + ": ";
     std::span<const std::uint8_t> all(st.image);
     std::size_t pos = st.scanned;
     try {
         while (pos < all.size()) {
-            std::size_t frame_start = pos;
             journal_detail::Frame f =
                 journal_detail::parseFrame(all, pos);
+            const std::size_t at =
+                static_cast<std::size_t>(f.payload.data() - all.data());
             if (!st.headerSeen) {
                 if (f.kind != journalHeaderKind) {
-                    failLocked("stream " + std::to_string(s) +
-                               ": first frame is not a header frame");
+                    failLocked(where +
+                               "first frame is not a header frame");
                     return;
                 }
-                ByteReader p(f.payload);
-                std::uint64_t magic = p.u64fixed();
-                if (magic >> 32 != journalMagic) {
-                    failLocked("stream " + std::to_string(s) +
-                               ": bad journal magic");
+                journal_detail::JournalHeader h =
+                    journal_detail::decodeHeaderPayload(f.payload, at);
+                if (h.stream.streamCount != n) {
+                    failLocked(where + "header claims " +
+                               std::to_string(h.stream.streamCount) +
+                               " streams, " + std::to_string(n) +
+                               " shipped");
                     return;
                 }
-                std::uint64_t version = magic & 0xffffffff;
-                if (version == journalVersion) {
-                    if (n != 1) {
-                        failLocked("v2 journal shipped as a multi-"
-                                   "stream set");
-                        return;
-                    }
-                    st.nextIndex = 0;
-                } else if (version == journalVersion3) {
-                    std::uint64_t stream = p.varu();
-                    if (stream != s) {
-                        failLocked(
-                            "stream " + std::to_string(s) +
-                            " carries a header claiming stream " +
-                            std::to_string(stream));
-                        return;
-                    }
-                    std::vector<std::uint8_t> suffix(
-                        f.payload.begin() + p.pos(),
-                        f.payload.end());
-                    if (headerSuffix_.empty()) {
-                        headerSuffix_ = suffix;
-                    } else if (suffix != headerSuffix_) {
-                        failLocked("stream " + std::to_string(s) +
-                                   ": header disagrees with its "
-                                   "siblings");
-                        return;
-                    }
-                    std::uint64_t count = p.varu();
-                    if (count != n) {
-                        failLocked(
-                            "stream " + std::to_string(s) +
-                            ": header claims " +
-                            std::to_string(count) + " streams, " +
-                            std::to_string(n) + " shipped");
-                        return;
-                    }
-                    baseEpoch_ = p.varu();
-                    if (baseEpoch_ != 0) {
-                        failLocked("cannot ship a truncated journal "
-                                   "(baseEpoch " +
-                                   std::to_string(baseEpoch_) + ")");
-                        return;
-                    }
-                    // First epoch index stream s owns.
-                    st.nextIndex = s;
-                } else {
-                    failLocked("unsupported journal version " +
-                               std::to_string(version));
+                if (h.stream.streamIndex != s) {
+                    failLocked(where + "header claims stream " +
+                               std::to_string(h.stream.streamIndex));
+                    return;
+                }
+                // Siblings must agree with the first header seen; a
+                // lone stream has none to keep a copy for.
+                if (n > 1 && headerSuffix_.empty()) {
+                    headerSuffix_.assign(h.sharedSuffix.begin(),
+                                         h.sharedSuffix.end());
+                } else if (n > 1 &&
+                           !std::ranges::equal(h.sharedSuffix,
+                                               headerSuffix_)) {
+                    failLocked(where +
+                               "header disagrees with its siblings");
+                    return;
+                }
+                if (h.stream.baseEpoch != 0) {
+                    failLocked("cannot ship a truncated journal "
+                               "(baseEpoch " +
+                               std::to_string(h.stream.baseEpoch) +
+                               ")");
                     return;
                 }
                 if (!prog_) {
-                    GuestProgram prog = readGuestProgram(p);
-                    MachineConfig cfg = readMachineConfig(p);
-                    (void)p.u64fixed(); // options fingerprint
                     prog_ = std::make_shared<const GuestProgram>(
-                        std::move(prog));
-                    cfg_ = cfg;
-                    replica_ = std::make_unique<LiveReplica>(*prog_,
-                                                             cfg_);
-                    nextPersist_ = baseEpoch_;
+                        std::move(h.prog));
+                    cfg_ = h.cfg;
+                    replica_ =
+                        std::make_unique<LiveReplica>(*prog_, cfg_);
                 }
                 st.headerSeen = true;
+                st.nextIndex = s; // first epoch index stream s owns
                 st.scanned = pos;
                 continue;
             }
             if (f.kind != journalEpochKind) {
-                failLocked("stream " + std::to_string(s) +
-                           ": header frame after frame 0");
+                failLocked(where + "header frame after frame 0");
                 return;
             }
-            ByteReader p(f.payload);
-            std::uint64_t index = p.varu();
-            if (index != st.nextIndex) {
-                failLocked("stream " + std::to_string(s) +
-                           ": epoch frame " + std::to_string(index) +
-                           " where " + std::to_string(st.nextIndex) +
-                           " expected");
+            journal_detail::EpochKey key;
+            EpochRecord e = journal_detail::decodeEpochPayload(
+                f.payload, {s, n, 0}, at, &key);
+            if (key.index != st.nextIndex) {
+                failLocked(where + "epoch frame " +
+                           std::to_string(key.index) + " where " +
+                           std::to_string(st.nextIndex) + " expected");
                 return;
             }
-            if (n > 1) {
-                std::uint64_t seq = p.varu();
-                if (index % n != s || seq != index / n) {
-                    failLocked(
-                        "stream " + std::to_string(s) +
-                        ": epoch " + std::to_string(index) +
-                        " carries stream sequence " +
-                        std::to_string(seq) + " (want " +
-                        std::to_string(index / n) + ")");
-                    return;
-                }
-            }
-            std::uint64_t dirty = p.varu();
-            std::uint64_t tp_instrs = p.varu();
-            EpochRecord e = readEpochRecord(p, index);
-            if (!p.atEnd()) {
-                failLocked("stream " + std::to_string(s) +
-                           ": trailing bytes in an epoch payload");
-                return;
-            }
-            e.dirtyPages = dirty;
-            e.tpInstrs = tp_instrs;
-            parsed_.emplace(index, std::move(e));
+            parsed_.emplace(key.index, std::move(e));
             st.nextIndex += n;
             st.scanned = pos;
-            (void)frame_start;
         }
     } catch (const journal_detail::FrameScanError &f) {
         if (f.error == JournalError::TruncatedFrame)
             return; // a batch boundary mid-frame: wait for the rest
-        failLocked("stream " + std::to_string(s) + ": " + f.detail);
-        return;
-    } catch (const RecordingDecodeError &f) {
-        failLocked("stream " + std::to_string(s) + ": " + f.detail);
-        return;
-    } catch (const ByteStreamError &) {
-        failLocked("stream " + std::to_string(s) +
-                   ": frame payload ended early");
-        return;
+        failLocked(where + f.detail);
     }
 }
 
@@ -308,27 +249,17 @@ StandbyApplier::crashLocked(std::unique_lock<std::mutex> &lock)
     headerSuffix_.clear();
     replayed_ = 0;
     nextPersist_ = 0;
-    baseEpoch_ = 0;
 
     // Restart: recover our own images exactly the way a restarted
-    // standby process would, truncate to the committed prefix /
-    // consistent cut, and re-apply from scratch.
-    if (streams_.size() == 1) {
-        RecoveredJournal rj = recoverJournal(streams_[0].image);
-        std::size_t keep =
-            rj.report.headerOk ? rj.report.committedBytes : 0;
-        streams_[0].image.resize(keep);
-    } else {
-        std::vector<std::span<const std::uint8_t>> spans;
-        spans.reserve(streams_.size());
-        for (const StreamState &st : streams_)
-            spans.emplace_back(st.image);
-        RecoveredShardedJournal rsj = recoverShardedJournal(spans);
-        for (unsigned s = 0; s < streams_.size(); ++s)
-            streams_[s].image.resize(
-                s < rsj.streams.size() ? rsj.streams[s].keptBytes
-                                       : 0);
-    }
+    // standby process would, truncate to the consistent cut, and
+    // re-apply from scratch.
+    std::vector<std::span<const std::uint8_t>> spans;
+    spans.reserve(streams_.size());
+    for (const StreamState &st : streams_)
+        spans.emplace_back(st.image);
+    RecoveredShardedJournal rsj = recoverShardedJournal(spans);
+    for (unsigned s = 0; s < streams_.size(); ++s)
+        streams_[s].image.resize(rsj.streams[s].keptBytes);
     for (StreamState &st : streams_) {
         st.scanned = 0;
         st.headerSeen = false;

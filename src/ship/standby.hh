@@ -31,9 +31,9 @@
  * StandbyCrash (a FaultSite) models the standby process dying: all
  * volatile state — replica, decoded epochs, apply queue — is lost,
  * and the standby recovers exactly the way a restarted process would:
- * recoverJournal / recoverShardedJournal over its own persisted
- * images, truncation to the committed prefix / consistent cut, and a
- * from-scratch re-apply. The sender resyncs from the recovered
+ * recoverShardedJournal over its own persisted images (one stream or
+ * many), truncation to the consistent cut, and a from-scratch
+ * re-apply. The sender resyncs from the recovered
  * offsets carried in the nack.
  *
  * promote() is failover: drain the apply strand, then hand out the
@@ -192,10 +192,10 @@ class StandbyApplier
 
     bool configured_ = false;
     std::vector<StreamState> streams_;
-    std::uint64_t baseEpoch_ = 0;
-    /** Canonical v3 header payload after the streamIndex varint —
-     *  byte-identical across the streams of one journal; the first
-     *  decoded header pins it and siblings must match. */
+    /** Canonical header payload after the streamIndex varint —
+     *  byte-identical across the streams of one journal; in a
+     *  multi-stream set the first decoded header pins it and siblings
+     *  must match (a lone stream keeps none). */
     std::vector<std::uint8_t> headerSuffix_;
     /** Next epoch index to mark persisted (contiguous). */
     std::uint64_t nextPersist_ = 0;

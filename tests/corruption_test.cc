@@ -16,6 +16,8 @@
 #include "journal/sharded.hh"
 #include "replay/recording_io.hh"
 #include "replay/replayer.hh"
+#include "ship/ship.hh"
+#include "ship/standby.hh"
 #include "testprogs.hh"
 
 #include <csetjmp>
@@ -538,6 +540,115 @@ TEST(ShardedCorruption, RandomFlipsInOneStreamNeverShortenSiblings)
                 << pos << " of stream 2";
         }
     }
+}
+
+/**
+ * A hand-built version-3 stream image with CRC-valid frames: a header
+ * claiming (stream, count, base) and one epoch frame per (index, seq)
+ * pair, bodies borrowed from @p r. It bypasses the writer's own
+ * checks, exactly as a hostile or damaged file would.
+ */
+std::vector<std::uint8_t>
+craftStream(const Recording &r, std::uint64_t stream, std::uint64_t count,
+            std::uint64_t base,
+            const std::vector<std::pair<std::uint64_t, std::uint64_t>>
+                &frames)
+{
+    ByteWriter h;
+    h.u64fixed((std::uint64_t{journalMagic} << 32) | journalVersion3);
+    h.varu(stream);
+    h.varu(count);
+    h.varu(base);
+    writeGuestProgram(h, r.program());
+    writeMachineConfig(h, r.config());
+    h.u64fixed(0);
+    std::vector<std::uint8_t> img =
+        journal_detail::makeFrame(journalHeaderKind, h.take());
+    for (std::size_t k = 0; k < frames.size(); ++k) {
+        ByteWriter p;
+        p.varu(frames[k].first);
+        p.varu(frames[k].second);
+        p.varu(0); // dirtyPages
+        p.varu(0); // tpInstrs
+        writeEpochRecord(p, r.epochs[k % r.epochs.size()]);
+        std::vector<std::uint8_t> f =
+            journal_detail::makeFrame(journalEpochKind, p.take());
+        img.insert(img.end(), f.begin(), f.end());
+    }
+    return img;
+}
+
+Recording
+smallRecording()
+{
+    GuestProgram prog = testprogs::lockedCounter(2, 200);
+    RecorderOptions opts;
+    opts.epochLength = 15'000;
+    UniparallelRecorder rec(prog, {}, opts);
+    RecordOutcome out = rec.record();
+    EXPECT_TRUE(out.ok);
+    return std::move(out.recording);
+}
+
+TEST(ShardedCorruption, BaseEpochNearTheTopOfTheRangeIsRefused)
+{
+    // baseEpoch 2^64-1 makes epoch-index arithmetic wrap: stream 0's
+    // first owned index wraps to 0, and a merge over the wrapped cut
+    // used to fabricate default-constructed epochs and call the set
+    // clean. The header decoder must refuse such a base outright.
+    Recording r = smallRecording();
+    const std::uint64_t base = ~std::uint64_t{0};
+    std::vector<std::vector<std::uint8_t>> images{
+        craftStream(r, 0, 2, base,
+                    {{0, 0}, {2, 1}, {4, 2}, {6, 3}, {8, 4}}),
+        craftStream(r, 1, 2, base, {})};
+    RecoveredShardedJournal rj = recoverShardedJournal(spansOf(images));
+    EXPECT_FALSE(rj.report.headerOk);
+    EXPECT_FALSE(rj.report.clean());
+    EXPECT_EQ(rj.report.framesRecovered, 0u);
+    EXPECT_EQ(rj.recording, nullptr);
+    EXPECT_TRUE(rj.tailEpochs.empty());
+    for (unsigned s = 0; s < 2; ++s) {
+        EXPECT_EQ(rj.streams[s].report.tailError,
+                  JournalError::BadPayload)
+            << "stream " << s;
+        EXPECT_EQ(rj.streams[s].keptBytes, 0u);
+    }
+    EXPECT_FALSE(peekStreamInfo(images[0]).has_value());
+}
+
+TEST(ShardedCorruption, StreamIdentityBeyondThirtyTwoBitsIsRefused)
+{
+    // A header claiming streamCount 2^32+2 once decoded as a 2-stream
+    // set after a 32-bit truncation. Recovery, the stream-set probe
+    // and a standby must all refuse it.
+    Recording r = smallRecording();
+    const std::uint64_t count = (std::uint64_t{1} << 32) + 2;
+    std::vector<std::vector<std::uint8_t>> images{
+        craftStream(r, 0, count, 0, {{0, 0}, {2, 1}, {4, 2}}),
+        craftStream(r, 1, count, 0, {{1, 0}, {3, 1}})};
+
+    RecoveredShardedJournal rj = recoverShardedJournal(spansOf(images));
+    EXPECT_FALSE(rj.report.headerOk);
+    EXPECT_EQ(rj.recording, nullptr);
+    for (unsigned s = 0; s < 2; ++s) {
+        EXPECT_EQ(rj.streams[s].report.tailError,
+                  JournalError::BadPayload)
+            << "stream " << s;
+        EXPECT_FALSE(peekStreamInfo(images[s]).has_value())
+            << "stream " << s;
+    }
+
+    StandbyApplier standby(StandbyOptions{});
+    ShipBatch b;
+    b.seq = 1;
+    b.stream = 0;
+    b.streamCount = 2;
+    b.bytes = images[0];
+    ShipAck ack = standby.receive(encodeShipBatch(b));
+    EXPECT_FALSE(ack.accepted);
+    EXPECT_TRUE(ack.failedClosed);
+    EXPECT_FALSE(standby.promote().report.promoted);
 }
 
 } // namespace

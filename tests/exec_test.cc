@@ -21,7 +21,7 @@
 #include "core/recorder.hh"
 #include "exec/executor.hh"
 #include "fault/fault.hh"
-#include "journal/journal.hh"
+#include "journal/sharded.hh"
 #include "replay/recording_io.hh"
 #include "testprogs.hh"
 #include "trace/trace.hh"
@@ -425,8 +425,8 @@ TEST(ExecJournal, AsyncCommitBytesIdenticalToSynchronous)
     ASSERT_TRUE(out.ok);
     ASSERT_GT(out.recording.epochs.size(), 2u);
 
-    JournalWriter sync(prog, {}, 0x1234);
-    JournalWriter async(prog, {}, 0x1234);
+    ShardedJournalWriter sync(prog, {}, 0x1234);
+    ShardedJournalWriter async(prog, {}, 0x1234);
     async.enableAsyncCommit();
     for (std::size_t i = 0; i < out.recording.epochs.size(); ++i) {
         sync.appendEpoch(out.recording.epochs[i],
@@ -434,13 +434,14 @@ TEST(ExecJournal, AsyncCommitBytesIdenticalToSynchronous)
         async.appendEpoch(out.recording.epochs[i],
                           static_cast<EpochId>(i));
     }
-    EXPECT_EQ(sync.bytes(), async.bytes());
-    EXPECT_EQ(sync.frameEnds(), async.frameEnds());
+    EXPECT_EQ(sync.streamBytes(0), async.streamBytes(0));
+    EXPECT_EQ(sync.streamFrameEnds(0), async.streamFrameEnds(0));
     EXPECT_EQ(sync.epochsWritten(), async.epochsWritten());
     EXPECT_TRUE(async.alive());
 
     // Both images recover identically.
-    RecoveredJournal rj = recoverJournal(async.bytes());
+    RecoveredShardedJournal rj =
+        recoverShardedJournal({async.streamBytes(0)});
     EXPECT_TRUE(rj.report.clean());
     EXPECT_EQ(rj.report.framesRecovered,
               out.recording.epochs.size());
@@ -461,8 +462,8 @@ TEST(ExecJournal, AsyncCommitReproducesInjectedCrashes)
     const char *plan = "journal-crash=1:4,torn-frame=1:3";
     FaultInjector f_sync(FaultPlan::parse(plan, 7));
     FaultInjector f_async(FaultPlan::parse(plan, 7));
-    JournalWriter sync(prog, {}, 0x1234, &f_sync);
-    JournalWriter async(prog, {}, 0x1234, &f_async);
+    ShardedJournalWriter sync(prog, {}, 0x1234, {}, &f_sync);
+    ShardedJournalWriter async(prog, {}, 0x1234, {}, &f_async);
     async.enableAsyncCommit();
     for (std::size_t i = 0; i < out.recording.epochs.size(); ++i) {
         sync.appendEpoch(out.recording.epochs[i],
@@ -471,7 +472,7 @@ TEST(ExecJournal, AsyncCommitReproducesInjectedCrashes)
                           static_cast<EpochId>(i));
     }
     EXPECT_EQ(sync.alive(), async.alive());
-    EXPECT_EQ(sync.bytes(), async.bytes());
+    EXPECT_EQ(sync.streamBytes(0), async.streamBytes(0));
     EXPECT_EQ(sync.epochsWritten(), async.epochsWritten());
 }
 

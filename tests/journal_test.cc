@@ -13,7 +13,7 @@
 #include "common/rng.hh"
 #include "core/recorder.hh"
 #include "fault/fault.hh"
-#include "journal/journal.hh"
+#include "journal/frame.hh"
 #include "journal/sharded.hh"
 #include "replay/recording_io.hh"
 #include "replay/replayer.hh"
@@ -50,8 +50,8 @@ recordJournaled(const GuestProgram &prog, const RecorderOptions &opts,
                 FaultInjector *faults = nullptr,
                 bool *writer_alive = nullptr)
 {
-    JournalWriter jw(prog, {}, recorderOptionsFingerprint(opts),
-                     faults);
+    ShardedJournalWriter jw(prog, {}, recorderOptionsFingerprint(opts),
+                            {.streams = 1}, faults);
     RecordObserver obs;
     obs.onEpochCommitted = [&](const EpochRecord &e, EpochId index) {
         jw.appendEpoch(e, index);
@@ -61,8 +61,8 @@ recordJournaled(const GuestProgram &prog, const RecorderOptions &opts,
     EXPECT_TRUE(out.ok);
     if (writer_alive)
         *writer_alive = jw.alive();
-    return {serializeRecording(out.recording), jw.bytes(),
-            jw.frameEnds(), out.recording.epochs.size(),
+    return {serializeRecording(out.recording), jw.streamBytes(0),
+            jw.streamFrameEnds(0), out.recording.epochs.size(),
             out.recording.stats};
 }
 
@@ -72,7 +72,7 @@ resumeToArtifact(const GuestProgram &prog,
                  const RecorderOptions &opts,
                  std::span<const std::uint8_t> image)
 {
-    RecoveredJournal rj = recoverJournal(image);
+    RecoveredShardedJournal rj = recoverShardedJournal({image});
     EXPECT_TRUE(rj.report.headerOk);
     UniparallelRecorder rec(prog, {}, opts);
     RecordOutcome out = rec.resume(std::move(rj.recording->epochs));
@@ -87,7 +87,7 @@ TEST(Journal, ConvertsToTheExactArtifactOfAnUninterruptedRun)
     JournaledRun run = recordJournaled(prog, testOpts());
     ASSERT_GE(run.epochs, 3u);
 
-    RecoveredJournal rj = recoverJournal(run.journal);
+    RecoveredShardedJournal rj = recoverShardedJournal({run.journal});
     ASSERT_TRUE(rj.report.clean());
     EXPECT_EQ(rj.report.framesRecovered, run.epochs);
     EXPECT_EQ(rj.report.committedBytes, run.journal.size());
@@ -115,7 +115,7 @@ TEST(Journal, CrashAtEveryFrameBoundaryResumesByteIdentical)
             run.journal.begin(),
             run.journal.begin() +
                 static_cast<std::ptrdiff_t>(run.frameEnds[b]));
-        RecoveredJournal rj = recoverJournal(cut);
+        RecoveredShardedJournal rj = recoverShardedJournal({cut});
         ASSERT_TRUE(rj.report.headerOk);
         EXPECT_EQ(rj.report.tailError, JournalError::None);
         EXPECT_EQ(rj.report.framesRecovered, b); // frame 0 = header
@@ -155,7 +155,7 @@ TEST(Journal, TornTailAtSeededMidFrameOffsetsResumesByteIdentical)
                 run.journal.begin(),
                 run.journal.begin() +
                     static_cast<std::ptrdiff_t>(cut_at));
-            RecoveredJournal rj = recoverJournal(cut);
+            RecoveredShardedJournal rj = recoverShardedJournal({cut});
             ASSERT_TRUE(rj.report.headerOk);
             EXPECT_EQ(rj.report.tailError,
                       JournalError::TruncatedFrame);
@@ -196,15 +196,15 @@ TEST(Journal, CorruptOrTruncatedHeaderRecoversNothingWithoutPanic)
     for (std::size_t pos = 0; pos < header_end; ++pos) {
         std::vector<std::uint8_t> bad = run.journal;
         bad[pos] ^= 0x10;
-        RecoveredJournal rj = recoverJournal(bad);
+        RecoveredShardedJournal rj = recoverShardedJournal({bad});
         EXPECT_FALSE(rj.report.headerOk) << "flip at byte " << pos;
         EXPECT_EQ(rj.recording, nullptr);
         EXPECT_EQ(rj.report.framesRecovered, 0u);
         EXPECT_NE(rj.report.tailError, JournalError::None);
     }
     for (std::size_t cut = 0; cut < header_end; ++cut) {
-        RecoveredJournal rj = recoverJournal(
-            std::span(run.journal).first(cut));
+        RecoveredShardedJournal rj =
+            recoverShardedJournal({std::span(run.journal).first(cut)});
         EXPECT_FALSE(rj.report.headerOk) << "cut at byte " << cut;
         EXPECT_EQ(rj.recording, nullptr);
     }
@@ -212,7 +212,8 @@ TEST(Journal, CorruptOrTruncatedHeaderRecoversNothingWithoutPanic)
 
 TEST(Journal, GarbageAndTrailingJunkAreFailClosed)
 {
-    RecoveredJournal empty = recoverJournal({});
+    RecoveredShardedJournal empty =
+        recoverShardedJournal({std::span<const std::uint8_t>{}});
     EXPECT_FALSE(empty.report.headerOk);
     EXPECT_EQ(empty.report.tailError, JournalError::MissingHeader);
 
@@ -220,7 +221,7 @@ TEST(Journal, GarbageAndTrailingJunkAreFailClosed)
     Rng rng(42);
     for (auto &b : garbage)
         b = static_cast<std::uint8_t>(rng.next());
-    RecoveredJournal g = recoverJournal(garbage);
+    RecoveredShardedJournal g = recoverShardedJournal({garbage});
     EXPECT_FALSE(g.report.headerOk);
     EXPECT_EQ(g.recording, nullptr);
 
@@ -229,7 +230,7 @@ TEST(Journal, GarbageAndTrailingJunkAreFailClosed)
     std::vector<std::uint8_t> junked = run.journal;
     for (int i = 0; i < 17; ++i)
         junked.push_back(static_cast<std::uint8_t>(rng.next()));
-    RecoveredJournal j = recoverJournal(junked);
+    RecoveredShardedJournal j = recoverShardedJournal({junked});
     ASSERT_TRUE(j.report.headerOk);
     EXPECT_EQ(j.report.framesRecovered, run.epochs);
     EXPECT_EQ(j.report.committedBytes, run.journal.size());
@@ -250,7 +251,7 @@ TEST(Journal, EveryEpochFrameBitFlipIsDetected)
         std::size_t hi = run.frameEnds[f];
         std::vector<std::uint8_t> bad = run.journal;
         bad[lo + rng.below(hi - lo)] ^= 0x04;
-        RecoveredJournal rj = recoverJournal(bad);
+        RecoveredShardedJournal rj = recoverShardedJournal({bad});
         ASSERT_TRUE(rj.report.headerOk);
         EXPECT_EQ(rj.report.framesRecovered, f - 1);
         EXPECT_EQ(rj.report.committedBytes, lo);
@@ -281,7 +282,7 @@ TEST(JournalFaults, InjectedCrashDiesAtAFrameBoundary)
         if (alive)
             continue;
         ASSERT_GT(fi.count(FaultSite::JournalCrash), 0u);
-        RecoveredJournal rj = recoverJournal(run.journal);
+        RecoveredShardedJournal rj = recoverShardedJournal({run.journal});
         ASSERT_TRUE(rj.report.headerOk);
         // Died *between* frames: a clean boundary, nothing torn.
         EXPECT_EQ(rj.report.tailError, JournalError::None);
@@ -313,7 +314,7 @@ TEST(JournalFaults, InjectedTornWriteLeavesARecoverableTail)
             recordJournaled(prog, opts, &fi, &alive);
         if (alive)
             continue;
-        RecoveredJournal rj = recoverJournal(run.journal);
+        RecoveredShardedJournal rj = recoverShardedJournal({run.journal});
         ASSERT_TRUE(rj.report.headerOk);
         EXPECT_EQ(rj.report.tailError,
                   JournalError::TruncatedFrame);
@@ -343,7 +344,7 @@ TEST(JournalFaults, InjectedBitFlipIsCaughtByTheFrameChecksum)
     EXPECT_TRUE(alive); // corruption, not a crash
     ASSERT_GT(fi.count(FaultSite::JournalBitFlip), 0u);
 
-    RecoveredJournal rj = recoverJournal(run.journal);
+    RecoveredShardedJournal rj = recoverShardedJournal({run.journal});
     ASSERT_TRUE(rj.report.headerOk);
     EXPECT_NE(rj.report.tailError, JournalError::None);
     EXPECT_LT(rj.report.framesRecovered, base.epochs);
@@ -360,7 +361,7 @@ TEST(JournalResume, TamperedPrefixFailsClosedBeforeRecording)
     RecorderOptions opts = testOpts();
     JournaledRun run = recordJournaled(prog, opts);
 
-    RecoveredJournal rj = recoverJournal(run.journal);
+    RecoveredShardedJournal rj = recoverShardedJournal({run.journal});
     ASSERT_TRUE(rj.report.headerOk);
     ASSERT_GE(rj.recording->epochs.size(), 2u);
     // The frame CRCs passed (the bytes are what was written), but
@@ -383,8 +384,8 @@ TEST(JournalResume, ResumedSessionKeepsCheckpointsForParallelReplay)
     ASSERT_GE(run.frameEnds.size(), 3u);
 
     std::size_t mid = run.frameEnds[run.frameEnds.size() / 2];
-    RecoveredJournal rj =
-        recoverJournal(std::span(run.journal).first(mid));
+    RecoveredShardedJournal rj =
+        recoverShardedJournal({std::span(run.journal).first(mid)});
     ASSERT_TRUE(rj.report.headerOk);
     UniparallelRecorder rec(prog, {}, opts);
     RecordOutcome out = rec.resume(std::move(rj.recording->epochs));
@@ -420,7 +421,7 @@ TEST(JournalResume, RecoveredAndResumedStatsMatchTheFreshSession)
     };
 
     // Full recovery reconstructs the counters exactly.
-    RecoveredJournal rj = recoverJournal(run.journal);
+    RecoveredShardedJournal rj = recoverShardedJournal({run.journal});
     ASSERT_TRUE(rj.report.clean());
     expect_stats_eq(rj.recording->stats, "recovered");
 
@@ -428,8 +429,8 @@ TEST(JournalResume, RecoveredAndResumedStatsMatchTheFreshSession)
     // same stats as the uninterrupted run — including tpInstrs for
     // the epochs it did not itself execute.
     std::size_t mid = run.frameEnds[run.frameEnds.size() / 2];
-    RecoveredJournal half =
-        recoverJournal(std::span(run.journal).first(mid));
+    RecoveredShardedJournal half =
+        recoverShardedJournal({std::span(run.journal).first(mid)});
     ASSERT_TRUE(half.report.headerOk);
     ASSERT_LT(half.recording->epochs.size(), run.epochs);
     UniparallelRecorder rec(prog, {}, opts);
@@ -621,17 +622,46 @@ resumeShardedToArtifact(const GuestProgram &prog,
     return serializeRecording(out.recording);
 }
 
+/** A pinned fixture from tests/fixtures (see its README.md). */
+std::vector<std::uint8_t>
+readFixture(const char *name)
+{
+    std::ifstream in(std::string(DP_JOURNAL_FIXTURE_DIR) + "/" + name,
+                     std::ios::binary);
+    EXPECT_TRUE(in.good()) << name;
+    return std::vector<std::uint8_t>(std::istreambuf_iterator<char>(in),
+                                     {});
+}
+
 TEST(ShardedJournal, SingleStreamIsByteIdenticalToVersionTwo)
 {
-    GuestProgram prog = testprogs::lockedCounter(2, 400);
-    RecorderOptions opts = testOpts();
-    JournaledRun v2 = recordJournaled(prog, opts);
-    ShardedRun one = recordSharded(prog, opts, 1);
-    ASSERT_EQ(one.images.size(), 1u);
-    // The read-compat contract: N == 1 emits a version-2 journal,
-    // byte for byte.
-    EXPECT_EQ(one.images[0], v2.journal);
-    EXPECT_EQ(one.frameEnds[0], v2.frameEnds);
+    // The writer-side pin: re-appending the epochs of a version-2
+    // journal an earlier build wrote must reproduce its bytes and its
+    // frame boundaries exactly, synchronously and asynchronously.
+    std::vector<std::uint8_t> journal = readFixture("v2_journal.bin");
+    ASSERT_FALSE(journal.empty());
+    std::vector<std::size_t> fixture_ends;
+    for (std::size_t pos = 0; pos < journal.size();) {
+        journal_detail::parseFrame(journal, pos);
+        fixture_ends.push_back(pos);
+    }
+
+    RecoveredShardedJournal rj = recoverShardedJournal({journal});
+    ASSERT_TRUE(rj.report.clean()) << rj.report.detail;
+    ASSERT_NE(rj.recording, nullptr);
+    const Recording &rec = *rj.recording;
+    ASSERT_GE(rec.epochs.size(), 1u);
+    for (bool async : {false, true}) {
+        SCOPED_TRACE(async ? "async" : "sync");
+        ShardedJournalWriter jw(rec.program(), rec.config(),
+                                rj.optionsFingerprint, {.streams = 1});
+        if (async)
+            jw.enableAsyncCommit();
+        for (std::size_t i = 0; i < rec.epochs.size(); ++i)
+            jw.appendEpoch(rec.epochs[i], static_cast<EpochId>(i));
+        EXPECT_EQ(jw.streamBytes(0), journal);
+        EXPECT_EQ(jw.streamFrameEnds(0), fixture_ends);
+    }
 }
 
 TEST(ShardedJournal, AsyncCommitBytesMatchSynchronousCommits)
@@ -832,29 +862,13 @@ TEST(ShardedJournal, VersionTwoFixtureRecoversIdentically)
 {
     // Pinned bytes: a version-2 journal and the artifact its epochs
     // serialize to, recorded by an earlier build (see
-    // tests/fixtures/README.md). The new recovery path must keep
-    // accepting the old format byte-for-byte.
-    auto read_fixture = [](const char *name) {
-        std::ifstream in(std::string(DP_JOURNAL_FIXTURE_DIR) + "/" +
-                             name,
-                         std::ios::binary);
-        EXPECT_TRUE(in.good()) << name;
-        return std::vector<std::uint8_t>(
-            std::istreambuf_iterator<char>(in), {});
-    };
-    std::vector<std::uint8_t> journal =
-        read_fixture("v2_journal.bin");
-    std::vector<std::uint8_t> artifact =
-        read_fixture("v2_artifact.bin");
+    // tests/fixtures/README.md). Recovery must keep accepting the old
+    // format byte-for-byte, at every recovery parallelism.
+    std::vector<std::uint8_t> journal = readFixture("v2_journal.bin");
+    std::vector<std::uint8_t> artifact = readFixture("v2_artifact.bin");
     ASSERT_FALSE(journal.empty());
     ASSERT_FALSE(artifact.empty());
 
-    RecoveredJournal rj = recoverJournal(journal);
-    ASSERT_TRUE(rj.report.clean()) << rj.report.detail;
-    ASSERT_NE(rj.recording, nullptr);
-    EXPECT_EQ(serializeRecording(*rj.recording), artifact);
-
-    // And through the sharded entry point (the v2 read-compat path).
     std::vector<std::vector<std::uint8_t>> images{journal};
     for (unsigned jobs : {1u, 2u}) {
         RecoveredShardedJournal srj =
