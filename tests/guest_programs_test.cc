@@ -48,6 +48,14 @@ struct Golden
     std::uint64_t exitCode;
 };
 
+// Keeps gtest from printing the param's raw bytes (a string-literal
+// address) into the case name.
+void
+PrintTo(const Golden &g, std::ostream *os)
+{
+    *os << g.file;
+}
+
 class GuestPrograms : public ::testing::TestWithParam<Golden>
 {};
 

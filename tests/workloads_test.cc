@@ -15,6 +15,19 @@
 
 namespace dp
 {
+namespace workloads
+{
+
+// gtest otherwise names each case after the raw bytes of the param,
+// which embed heap addresses and so change from process to process.
+void
+PrintTo(const Workload &w, std::ostream *os)
+{
+    *os << w.name;
+}
+
+} // namespace workloads
+
 namespace
 {
 
