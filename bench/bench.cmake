@@ -39,7 +39,7 @@ target_link_libraries(bench_standby_lag PRIVATE dp_ship)
 # suites it emits the BENCH_micro.json summary row.
 add_executable(bench_micro ${CMAKE_SOURCE_DIR}/bench/bench_micro.cc)
 target_link_libraries(bench_micro PRIVATE
-    dp_os dp_log dp_harness benchmark::benchmark)
+    dp_os dp_log dp_harness dp_workloads benchmark::benchmark)
 target_include_directories(bench_micro PRIVATE ${CMAKE_SOURCE_DIR}/bench)
 set_target_properties(bench_micro PROPERTIES
     RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)

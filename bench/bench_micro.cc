@@ -18,10 +18,12 @@
 #include "common/rng.hh"
 #include "log/logs.hh"
 #include "mem/paged_memory.hh"
+#include "os/multicpu_sim.hh"
 #include "os/simos.hh"
 #include "os/uni_runner.hh"
 #include "vm/assembler.hh"
 #include "vm/interp.hh"
+#include "workloads/registry.hh"
 
 namespace
 {
@@ -227,6 +229,51 @@ BM_VarintEncode(benchmark::State &state)
 }
 BENCHMARK(BM_VarintEncode);
 
+/**
+ * The thread-parallel run of the record path: pbzip2's shape (two
+ * guest workers) on 2 CPUs with recording costs charged and the
+ * recorder's hooks attached, run to completion. Returns instructions
+ * retired.
+ */
+std::uint64_t
+runThreadParallel(const workloads::WorkloadBundle &b)
+{
+    Machine mach(b.program, b.config);
+    SimOS os;
+    MpOptions mp;
+    mp.cpus = 2;
+    mp.record = true;
+    std::uint64_t syncs = 0;
+    MpHooks hooks;
+    hooks.onSync = [&](ThreadId, SyncKind, SyncKey) { ++syncs; };
+    hooks.onSyscall = [&](ThreadId, Sys, std::uint64_t, bool) {};
+    MultiCpuSim sim(mach, os, mp, hooks);
+    if (sim.run(~Cycles{0} >> 1) != StopReason::AllExited)
+        std::abort();
+    benchmark::DoNotOptimize(syncs);
+    return sim.stats().instrs;
+}
+
+workloads::WorkloadBundle
+pbzip2Bundle(std::uint32_t scale)
+{
+    return workloads::findWorkload("pbzip2")->make(
+        {.threads = 2, .scale = scale, .seed = 1});
+}
+
+void
+BM_ThreadParallelSim(benchmark::State &state)
+{
+    const workloads::WorkloadBundle b =
+        pbzip2Bundle(static_cast<std::uint32_t>(state.range(0)));
+    std::uint64_t instrs = 0;
+    for (auto _ : state)
+        instrs += runThreadParallel(b);
+    // items_per_second: guest instructions per host second
+    state.SetItemsProcessed(static_cast<std::int64_t>(instrs));
+}
+BENCHMARK(BM_ThreadParallelSim)->Arg(4)->Unit(benchmark::kMillisecond);
+
 /** Best-of-@p reps wall time of @p fn, in seconds. */
 template <typename Fn>
 double
@@ -249,9 +296,9 @@ bestSeconds(Fn &&fn, int reps = 3)
  * hashing speedups are machine-diffable across builds (the threaded
  * vs switch and sse4.2 vs table configurations land under different
  * row names). Kernel rows reuse the dp-bench-v1 fields: `overhead`
- * carries throughput in units/s (instrs/s for dispatch, bytes/s for
- * hashing), `logBytes` the work per measurement, `epochs` the
- * repetition count.
+ * carries throughput in units/s (instrs/s for dispatch and the
+ * thread-parallel simulator, bytes/s for hashing), `logBytes` the work
+ * per measurement, `epochs` the repetition count.
  */
 std::vector<bench::BenchResult>
 kernelRows()
@@ -285,6 +332,17 @@ kernelRows()
         row(std::string("dispatch-") +
                 Interpreter::dispatchKindName(),
             static_cast<double>(instrs) / secs, instrs, 1);
+    }
+
+    // Thread-parallel simulator: guest instructions per host second
+    // on the record path's multiprocessor run (BM_ThreadParallelSim).
+    {
+        const workloads::WorkloadBundle b = pbzip2Bundle(8);
+        std::uint64_t instrs = 0;
+        const double secs =
+            bestSeconds([&] { instrs = runThreadParallel(b); });
+        row("thread-parallel-sim", static_cast<double>(instrs) / secs,
+            instrs, 1);
     }
 
     // Page hashing: bytes per second over a resident 4 KiB page.

@@ -50,6 +50,11 @@ inline constexpr std::uint32_t journalVersion = 2;
  *  writing v2 — v3 only ever appears with streamCount > 1. */
 inline constexpr std::uint32_t journalVersion3 = 3;
 
+/** Most streams one journal set may have. The writer refuses more,
+ *  and the standby and the CLI refuse a set that claims more before
+ *  sizing anything by the claim. */
+inline constexpr std::uint32_t maxJournalStreams = 1024;
+
 /** Frame kinds (first byte of every frame). */
 inline constexpr std::uint8_t journalHeaderKind = 1;
 inline constexpr std::uint8_t journalEpochKind = 2;

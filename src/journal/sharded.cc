@@ -267,6 +267,8 @@ ShardedJournalWriter::ShardedJournalWriter(
       segmentEpochs_(opts.segmentEpochs), faults_(faults),
       prog_(prog), cfg_(cfg), fingerprint_(options_fingerprint)
 {
+    dp_assert(streams_ <= maxJournalStreams, "at most ",
+              maxJournalStreams, " journal streams");
     shards_.resize(streams_);
     for (unsigned s = 0; s < streams_; ++s)
         startStream(s);

@@ -234,16 +234,39 @@ UniRunner::runSlice(ThreadId tid, std::uint64_t budget,
         res.delivered = true;
     }
 
+    // Plain instructions run in one tight block up to the next
+    // boundary this loop must see: a syscall, an atomic, or (when
+    // hooked) a memory op. Everything it observes per instruction —
+    // signal delivery, sync permits, yields, the hooks — can only
+    // trigger at such a boundary, so the block never skips one.
+    // Deliverability cannot change mid-block: the signal state only
+    // moves through syscalls, and no other thread runs during the
+    // slice.
+    std::uint8_t stop_mask = ClsAtomic;
+    if (hooks_.onMemAccess)
+        stop_mask |= ClsMem;
+
     while (res.instrs < budget) {
-        ThreadContext &tc = m_.thread(tid);
-        if (tc.state != RunState::Runnable)
+        if (m_.thread(tid).state != RunState::Runnable)
             break;
         if (maybeDeliverSignal(tid)) {
             res.progress = true;
             res.delivered = true;
         }
-        Opcode op = interp_.nextOpcode(tc);
+        ThreadContext &tc = m_.thread(tid);
+        Interpreter::BlockResult b = interp_.runBlock(
+            tc, m_.mem, budget - res.instrs, stop_mask);
+        charge(cm.instrCycles * b.instrs);
+        res.instrs += b.instrs;
+        stats_.instrs += b.instrs;
+        res.progress |= b.instrs > 0;
+        if (b.last == StepKind::Halted || b.last == StepKind::Fault)
+            break;
+        if (b.boundary == 0)
+            continue; // budget spent
 
+        const Opcode op = interp_.nextOpcode(tc);
+        const bool atomic = (b.boundary & ClsAtomic) != 0;
         if (!exact && hooks_.permitSync && !relaxed_) {
             if (op == Opcode::Syscall) {
                 std::optional<SyncKey> key = pendingSyscallKey();
@@ -251,7 +274,7 @@ UniRunner::runSlice(ThreadId tid, std::uint64_t budget,
                     !hooks_.permitSync(tid, SyncKind::Syscall, *key))
                     break;
             }
-            if (isAtomicOp(op) &&
+            if (atomic &&
                 !hooks_.permitSync(tid, SyncKind::Atomic,
                                    interp_.nextAtomicAddr(tc)))
                 break;
@@ -278,52 +301,27 @@ UniRunner::runSlice(ThreadId tid, std::uint64_t budget,
             continue;
         }
 
-        if (isAtomicOp(op) || (hooks_.onMemAccess && isMemOp(op))) {
-            // Observed instructions execute one at a time: the access
-            // hook fires before, the sync hook after, each one.
-            if (hooks_.onMemAccess && isMemOp(op)) {
-                auto [maddr, mwrite] = interp_.nextMemAccess(tc);
-                hooks_.onMemAccess(tid, maddr, memAccessSize(op),
-                                   mwrite, isAtomicOp(op));
-            }
-            const SyncKey atomic_key =
-                isAtomicOp(op) ? interp_.nextAtomicAddr(tc) : 0;
-            StepKind k = interp_.step(tc, m_.mem);
-            charge(cm.instrCycles);
-            ++res.instrs;
-            ++stats_.instrs;
-            res.progress = true;
-            if (isAtomicOp(op)) {
-                ++stats_.syncOps;
-                if (hooks_.onSync)
-                    hooks_.onSync(tid, SyncKind::Atomic, atomic_key);
-            }
-            if (k == StepKind::Halted || k == StepKind::Fault)
-                break;
-            continue;
+        // Observed instructions execute one at a time: the access
+        // hook fires before, the sync hook after, each one.
+        if (hooks_.onMemAccess && isMemOp(op)) {
+            auto [maddr, mwrite] = interp_.nextMemAccess(tc);
+            hooks_.onMemAccess(tid, maddr, memAccessSize(op), mwrite,
+                               atomic);
         }
-
-        // Plain instructions run in one tight block up to the next
-        // boundary. Everything this loop observes per instruction —
-        // signal delivery, sync permits, yields, the hooks above —
-        // can only trigger at a syscall, atomic, or (when hooked)
-        // memory op, and the stop mask halts the block before any of
-        // those executes. Deliverability cannot change mid-block: the
-        // signal state only moves through syscalls, and no other
-        // thread runs during the slice.
-        std::uint8_t stop_mask = ClsAtomic;
-        if (hooks_.onMemAccess)
-            stop_mask |= ClsMem;
-        Interpreter::BlockResult b = interp_.runBlock(
-            tc, m_.mem, budget - res.instrs, stop_mask);
-        charge(cm.instrCycles * b.instrs);
-        res.instrs += b.instrs;
-        stats_.instrs += b.instrs;
-        res.progress |= b.instrs > 0;
-        if (b.last == StepKind::Halted || b.last == StepKind::Fault)
+        const SyncKey atomic_key =
+            atomic ? interp_.nextAtomicAddr(tc) : 0;
+        StepKind k = interp_.step(tc, m_.mem);
+        charge(cm.instrCycles);
+        ++res.instrs;
+        ++stats_.instrs;
+        res.progress = true;
+        if (atomic) {
+            ++stats_.syncOps;
+            if (hooks_.onSync)
+                hooks_.onSync(tid, SyncKind::Atomic, atomic_key);
+        }
+        if (k == StepKind::Halted || k == StepKind::Fault)
             break;
-        if (b.instrs == 0)
-            break; // defensive: a boundary op slipped past the checks
     }
 
     // The owed blocking attempt at the end of an exactly-consumed

@@ -67,8 +67,14 @@ decodeShipBatch(std::span<const std::uint8_t> wire)
         ByteReader p(payload);
         ShipBatch b;
         b.seq = p.varu();
-        b.stream = static_cast<std::uint32_t>(p.varu());
-        b.streamCount = static_cast<std::uint32_t>(p.varu());
+        // Stream identities are 32-bit; a wider claim is refused, not
+        // truncated onto another stream.
+        const std::uint64_t stream = p.varu();
+        const std::uint64_t stream_count = p.varu();
+        if (stream > UINT32_MAX || stream_count > UINT32_MAX)
+            return std::nullopt;
+        b.stream = static_cast<std::uint32_t>(stream);
+        b.streamCount = static_cast<std::uint32_t>(stream_count);
         b.offset = p.varu();
         std::uint64_t n = p.varu();
         if (n != p.remaining())

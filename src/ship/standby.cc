@@ -297,6 +297,15 @@ StandbyApplier::receive(std::span<const std::uint8_t> wire)
     if (!configured_) {
         if (b->streamCount == 0)
             return ackLocked(b->seq, false);
+        if (b->streamCount > maxJournalStreams) {
+            // Fail closed before sizing anything by the claim.
+            failLocked("batch claims " +
+                       std::to_string(b->streamCount) +
+                       " streams; at most " +
+                       std::to_string(maxJournalStreams) +
+                       " are supported");
+            return ackLocked(b->seq, false);
+        }
         configureLocked(b->streamCount);
     } else if (b->streamCount != streams_.size()) {
         failLocked("stream count changed mid-ship: " +

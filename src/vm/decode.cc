@@ -10,6 +10,8 @@ opcodeClass(Opcode op)
 {
     if (op == Opcode::Syscall)
         return ClsSyscall;
+    if (op == Opcode::Halt || op >= Opcode::NumOpcodes)
+        return ClsExit;
     if (isAtomicOp(op))
         return ClsAtomic | ClsMem;
     if (isMemOp(op))

@@ -40,6 +40,10 @@ enum : std::uint8_t
     ClsSyscall = 1, ///< traps to the OS; never executed in a block
     ClsAtomic = 2,  ///< guest sync op (always also ClsMem)
     ClsMem = 4,     ///< reads or writes guest memory
+    /** Halt or an invalid encoding: ends the thread. A block whose
+     *  stop mask holds it parks before the exit (and before a pc past
+     *  the end of the code) instead of executing it inline. */
+    ClsExit = 8,
 };
 
 /** One dispatch-ready instruction. */

@@ -44,8 +44,8 @@ namespace
 const void *const *
 threadedBlockRun(ThreadContext *tc, PagedMemory *memp,
                  std::uint64_t max, std::uint8_t stop,
-                 const DecodedInstr *code, std::size_t code_size,
-                 Interpreter::BlockResult *out)
+                 std::uint8_t first_stop, const DecodedInstr *code,
+                 std::size_t code_size, Interpreter::BlockResult *out)
 {
     // Must match Opcode declaration order exactly; the static_assert
     // above guards the count.
@@ -86,13 +86,18 @@ threadedBlockRun(ThreadContext *tc, PagedMemory *memp,
         if (n == max)                                                   \
             goto stop_budget;                                           \
         if (pc >= code_size)                                            \
-            goto h_fault;                                               \
+            goto pc_out_of_range;                                       \
         ip = code + pc;                                                 \
         if (ip->cls & stop)                                             \
             goto stop_class;                                            \
         goto *const_cast<void *>(ip->handler);                          \
     } while (0)
 
+    // The first instruction checks its own mask (see runBlock's lead).
+    if (max > 0 && pc < code_size && !(code[pc].cls & first_stop)) {
+        ip = code + pc;
+        goto *const_cast<void *>(ip->handler);
+    }
     DP_NEXT();
 
 h_Nop:
@@ -290,8 +295,15 @@ h_fault:
     last = StepKind::Fault;
     goto write_back;
 
+pc_out_of_range:
+    if (!(stop & ClsExit))
+        goto h_fault;
+    out->boundary = ClsExit;
+    goto write_back;
+
 stop_class:
     last = (ip->cls & ClsSyscall) ? StepKind::SyscallTrap : StepKind::Ok;
+    out->boundary = ip->cls;
     goto write_back;
 
 stop_budget:
@@ -322,18 +334,23 @@ namespace
  */
 Interpreter::BlockResult
 switchBlockRun(ThreadContext &tc, PagedMemory &mem, std::uint64_t max,
-               std::uint8_t stop, const DecodedInstr *code,
-               std::size_t code_size)
+               std::uint8_t stop, std::uint8_t first_stop,
+               const DecodedInstr *code, std::size_t code_size)
 {
     std::uint64_t *const regs = tc.regs.data();
     std::uint64_t pc = tc.pc;
     std::uint64_t n = 0;
     StepKind last = StepKind::Ok;
+    std::uint8_t boundary = 0;
 
     for (;;) {
         if (n == max)
             break;
         if (pc >= code_size) {
+            if (stop & ClsExit) {
+                boundary = ClsExit;
+                break;
+            }
             tc.state = RunState::Exited;
             tc.exitCode = faultExitCode;
             ++n;
@@ -341,9 +358,10 @@ switchBlockRun(ThreadContext &tc, PagedMemory &mem, std::uint64_t max,
             break;
         }
         const DecodedInstr &in = code[pc];
-        if (in.cls & stop) {
+        if (in.cls & (n == 0 ? first_stop : stop)) {
             last = (in.cls & ClsSyscall) ? StepKind::SyscallTrap
                                          : StepKind::Ok;
+            boundary = in.cls;
             break;
         }
 
@@ -533,7 +551,7 @@ switchBlockRun(ThreadContext &tc, PagedMemory &mem, std::uint64_t max,
 out:
     tc.pc = pc;
     tc.retired += n;
-    return {n, last};
+    return {n, last, boundary};
 }
 
 } // namespace
@@ -544,7 +562,8 @@ const void *const *
 interpDispatchTable()
 {
 #if DP_DISPATCH_THREADED
-    return threadedBlockRun(nullptr, nullptr, 0, 0, nullptr, 0, nullptr);
+    return threadedBlockRun(nullptr, nullptr, 0, 0, 0, nullptr, 0,
+                            nullptr);
 #else
     return nullptr;
 #endif
@@ -562,8 +581,8 @@ Interpreter::dispatchKindName()
 
 Interpreter::BlockResult
 Interpreter::runBlock(ThreadContext &tc, PagedMemory &mem,
-                      std::uint64_t max_instrs,
-                      std::uint8_t stop_mask) const
+                      std::uint64_t max_instrs, std::uint8_t stop_mask,
+                      bool lead) const
 {
     dp_assert(tc.state == RunState::Runnable,
               "running a non-runnable thread ", tc.tid);
@@ -571,13 +590,16 @@ Interpreter::runBlock(ThreadContext &tc, PagedMemory &mem,
     const DecodedProgram &dec = ensureDecoded();
     // Syscalls always stop a block: only the OS can complete them.
     const std::uint8_t stop = stop_mask | ClsSyscall;
+    const std::uint8_t first_stop = lead ? ClsSyscall : stop;
 
     BlockResult out;
 #if DP_DISPATCH_THREADED
-    threadedBlockRun(&tc, &mem, max_instrs, stop, dec.code.data(),
+    threadedBlockRun(&tc, &mem, max_instrs, stop, first_stop,
+                     dec.code.data(),
                      dec.code.size(), &out);
 #else
-    out = switchBlockRun(tc, mem, max_instrs, stop, dec.code.data(),
+    out = switchBlockRun(tc, mem, max_instrs, stop, first_stop,
+                         dec.code.data(),
                          dec.code.size());
 #endif
     return out;

@@ -8,14 +8,14 @@
  * can drive any number of concurrent epoch executions.
  *
  * Execution has two granularities sharing one implementation:
- *  - step(): exactly one instruction (engines that interleave
- *    per-instruction bookkeeping, e.g. the thread-parallel run);
+ *  - step(): exactly one instruction (the one boundary instruction an
+ *    engine observes with per-instruction bookkeeping);
  *  - runBlock(): a tight threaded-dispatch loop that retires plain
  *    instructions until a boundary — budget, syscall, a class the
- *    caller must observe per-instruction (atomics, memory ops with
- *    an access hook), or thread termination. UniRunner's slices are
- *    built on this, so free-running guest code no longer pays one
- *    dispatch round-trip per instruction.
+ *    caller must observe per-instruction (atomics, memory ops, thread
+ *    exits), or thread termination. Both engines' slices and batches
+ *    are built on this, so guest code does not pay one dispatch
+ *    round-trip per instruction.
  *
  * Dispatch is computed-goto threaded code when DP_THREADED_DISPATCH
  * is on (the default; GNU-compatible compilers), and a portable
@@ -83,21 +83,35 @@ class Interpreter
          * block). Halted/Fault: the thread exited inside the block.
          */
         StepKind last = StepKind::Ok;
+        /**
+         * Class bits (decode.hh) of the instruction the block stopped
+         * before: the boundary the caller handles next. 0 when the
+         * budget ran out or the thread exited; ClsExit also for a pc
+         * past the end of the code when ClsExit is in the stop mask.
+         */
+        std::uint8_t boundary = 0;
     };
 
     /**
-     * Retire up to @p max_instrs instructions of @p tc in one tight
-     * dispatch loop. Stops *before* any Syscall and before any
-     * instruction whose class intersects @p stop_mask (ClsAtomic,
-     * ClsMem — see decode.hh), so the caller can run its
-     * per-instruction hooks and then re-enter. Signal delivery,
-     * sync-order permits and cost accounting are the caller's
-     * business at block boundaries; a block must only be entered when
-     * none of those can trigger mid-block (see UniRunner::runSlice).
+     * Run @p tc to its next boundary: retire up to @p max_instrs
+     * instructions in one tight dispatch loop, stopping *before* any
+     * Syscall and before any instruction whose class intersects
+     * @p stop_mask (ClsAtomic, ClsMem, ClsExit — see decode.hh). The
+     * result names the boundary, so the caller handles that one
+     * instruction with its per-instruction hooks and then re-enters.
+     * Both schedulers run guest code through this one helper:
+     * UniRunner::runSlice between its observed instructions, and
+     * MultiCpuSim for the register-only stretches between a CPU's
+     * shared-visible instructions. Signal delivery, sync-order
+     * permits and cost accounting are the caller's business at
+     * block boundaries; a block must only be entered when none of
+     * those can trigger mid-block. With @p lead the first
+     * instruction executes whatever its class (a syscall still
+     * stops): the caller has already ordered it.
      */
     BlockResult runBlock(ThreadContext &tc, PagedMemory &mem,
-                         std::uint64_t max_instrs,
-                         std::uint8_t stop_mask) const;
+                         std::uint64_t max_instrs, std::uint8_t stop_mask,
+                         bool lead = false) const;
 
     /** "threaded" or "switch": the dispatch variant this build uses. */
     static const char *dispatchKindName();

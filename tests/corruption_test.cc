@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "common/bytes.hh"
+#include "common/crc32.hh"
 #include "common/rng.hh"
 #include "core/recorder.hh"
 #include "journal/frame.hh"
@@ -649,6 +650,66 @@ TEST(ShardedCorruption, StreamIdentityBeyondThirtyTwoBitsIsRefused)
     EXPECT_FALSE(ack.accepted);
     EXPECT_TRUE(ack.failedClosed);
     EXPECT_FALSE(standby.promote().report.promoted);
+}
+
+/** Wire bytes of a CRC-valid ship batch whose identity fields are
+ *  written as given, bypassing ShipBatch's 32-bit fields. */
+std::vector<std::uint8_t>
+craftShipBatch(std::uint64_t stream, std::uint64_t count)
+{
+    ByteWriter p;
+    p.varu(1); // seq
+    p.varu(stream);
+    p.varu(count);
+    p.varu(0); // offset
+    p.varu(0); // no bytes
+    const std::vector<std::uint8_t> payload = p.take();
+    const std::uint8_t kind = shipBatchKind;
+    const std::uint32_t crc = crc32c(payload, crc32c({&kind, 1}));
+    ByteWriter w;
+    w.u8(shipBatchKind);
+    w.varu(payload.size());
+    std::vector<std::uint8_t> wire = w.take();
+    wire.insert(wire.end(), payload.begin(), payload.end());
+    for (int i = 0; i < 8; ++i)
+        wire.push_back(
+            static_cast<std::uint8_t>(std::uint64_t{crc} >> (8 * i)));
+    wire.push_back(journalCommitMarker);
+    return wire;
+}
+
+TEST(ShipCorruption, StreamIdentityBeyondThirtyTwoBitsIsRefused)
+{
+    // The batch decoder used to truncate both varints to 32 bits: a
+    // claim of 2^32+1 streams decoded as 1, and stream 2^32 as 0.
+    const std::uint64_t wide = std::uint64_t{1} << 32;
+    EXPECT_TRUE(decodeShipBatch(craftShipBatch(0, 2)).has_value());
+    EXPECT_FALSE(decodeShipBatch(craftShipBatch(0, wide + 1)).has_value());
+    EXPECT_FALSE(decodeShipBatch(craftShipBatch(wide, 2)).has_value());
+    EXPECT_FALSE(
+        decodeShipBatch(craftShipBatch(wide + 1, wide + 2)).has_value());
+}
+
+TEST(ShipCorruption, StandbyRefusesAnAbsurdStreamCountBeforeSizing)
+{
+    // A first batch claiming 2^32-1 streams used to make the standby
+    // size its stream table by the claim, and receive() — documented
+    // never to throw — threw bad_alloc. It must fail closed instead.
+    StandbyApplier standby(StandbyOptions{});
+    ShipBatch b;
+    b.seq = 1;
+    b.stream = 0;
+    b.streamCount = ~std::uint32_t{0};
+    ShipAck ack;
+    EXPECT_NO_THROW(ack = standby.receive(encodeShipBatch(b)));
+    EXPECT_FALSE(ack.accepted);
+    EXPECT_TRUE(ack.failedClosed);
+    EXPECT_FALSE(standby.promote().report.promoted);
+
+    // The limit itself is accepted.
+    StandbyApplier at_limit(StandbyOptions{});
+    b.streamCount = maxJournalStreams;
+    EXPECT_FALSE(at_limit.receive(encodeShipBatch(b)).failedClosed);
 }
 
 } // namespace

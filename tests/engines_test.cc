@@ -2,14 +2,20 @@
  * @file
  * Unit tests for the execution engines: UniRunner scheduling
  * semantics (quantum, segments, blocked attempts, epoch targets) and
- * MultiCpuSim determinism and race behaviour.
+ * MultiCpuSim determinism and race behaviour, and the sweep that holds
+ * MultiCpuSim's event-driven scheduler to the lockstep oracle.
  */
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
+#include "common/rng.hh"
+#include "lockstep_oracle.hh"
 #include "os/multicpu_sim.hh"
+#include "vm/asmlib.hh"
 #include "vm/assembler.hh"
 #include "os/simos.hh"
 #include "os/uni_runner.hh"
@@ -304,6 +310,191 @@ TEST(SyncKeys, ClassifyOperations)
         globalSyncKey);
     EXPECT_EQ(syscallSyncKey(999, 0), globalSyncKey);
 }
+
+// ---- event-driven scheduler vs the lockstep oracle ----
+
+/** One configuration of the oracle sweep. */
+struct SweepCase
+{
+    GuestProgram prog;
+    MpOptions mp;
+    Cycles instrCycles = 1;
+    bool memHook = false;
+    std::uint64_t runSeed = 0; ///< draws the run(until) steps
+};
+
+/** Everything a run shows an observer, flattened: every hook call
+ *  with the clock it saw, and per return of run() the stop reason,
+ *  clock, state hash and RunStats. */
+struct EngineTrace
+{
+    std::vector<std::uint64_t> events;
+    std::vector<std::uint64_t> returns;
+};
+
+template <class Engine>
+EngineTrace
+traceEngine(const SweepCase &c)
+{
+    Machine m(c.prog, {});
+    CostModel cm;
+    cm.instrCycles = c.instrCycles;
+    SimOS os(cm);
+    EngineTrace tr;
+    std::vector<std::uint64_t> &ev = tr.events;
+    MpHooks hooks;
+    hooks.onSync = [&](ThreadId tid, SyncKind kind, SyncKey key) {
+        ev.insert(ev.end(), {1, m.now, tid,
+                             static_cast<std::uint64_t>(kind), key});
+    };
+    hooks.onSyscall = [&](ThreadId tid, Sys sys, std::uint64_t value,
+                          bool injectable) {
+        ev.insert(ev.end(), {2, m.now, tid,
+                             static_cast<std::uint64_t>(sys), value,
+                             injectable});
+    };
+    hooks.onSignal = [&](const SignalEvent &e) {
+        ev.insert(ev.end(), {3, m.now, e.tid, e.retired, e.sig});
+    };
+    if (c.memHook) {
+        // Penalties land on some accesses only, so busy spans of every
+        // length interleave with plain steps.
+        hooks.onMemAccess = [&](ThreadId tid, CpuId cpu, Addr addr,
+                                bool is_write) -> Cycles {
+            ev.insert(ev.end(), {4, m.now, tid, cpu, addr, is_write});
+            const std::uint64_t h =
+                mix64(addr ^ (std::uint64_t{tid} << 40) ^ m.now);
+            return h % 3 == 0 ? h % 29 : 0;
+        };
+    }
+    Engine sim(m, os, c.mp, hooks);
+    Rng steps(c.runSeed);
+    for (int call = 0; call < 200; ++call) {
+        // Limits from 0 ticks up, so returns land everywhere: inside
+        // batches, busy spans and stalls.
+        const Cycles until =
+            m.now + (steps.chance(1, 8) ? 0 : steps.below(3'000));
+        const StopReason r = sim.run(until);
+        const RunStats &s = sim.stats();
+        tr.returns.insert(tr.returns.end(),
+                          {static_cast<std::uint64_t>(r), m.now,
+                           m.stateHash(), s.cycles, s.instrs,
+                           s.syncOps, s.syscalls, s.switches});
+        if (r != StopReason::TimeLimit)
+            break;
+    }
+    return tr;
+}
+
+/** Index of the first difference (or npos), for a readable report. */
+std::size_t
+firstDifference(const std::vector<std::uint64_t> &a,
+                const std::vector<std::uint64_t> &b)
+{
+    const std::size_t n = std::min(a.size(), b.size());
+    for (std::size_t i = 0; i < n; ++i)
+        if (a[i] != b[i])
+            return i;
+    return a.size() == b.size() ? std::string::npos : n;
+}
+
+void
+expectSameAsOracle(const SweepCase &c)
+{
+    const EngineTrace want = traceEngine<LockstepSim>(c);
+    const EngineTrace got = traceEngine<MultiCpuSim>(c);
+    EXPECT_EQ(firstDifference(want.returns, got.returns),
+              std::string::npos)
+        << "returns differ (" << want.returns.size() << " vs "
+        << got.returns.size() << " words)";
+    EXPECT_EQ(firstDifference(want.events, got.events),
+              std::string::npos)
+        << "hook sequences differ (" << want.events.size() << " vs "
+        << got.events.size() << " words)";
+    EXPECT_GT(want.events.size(), 0u);
+}
+
+class EventDrivenSim : public ::testing::TestWithParam<CpuId>
+{};
+
+// Random programs (races, locks, barriers, yields, cross-thread
+// kill() into installed handlers, injectable syscalls) x seeds, with
+// every knob the scheduler batches around: instruction cost 1 and >1,
+// record on and off, a penalty-returning access hook, oversubscribed
+// and one-instruction quanta, jitter off, 1/8, 1/3 and heavy, and a
+// finite fuel fuse.
+TEST_P(EventDrivenSim, MatchesLockstepOracle)
+{
+    const CpuId cpus = GetParam();
+    for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        SweepCase c;
+        c.prog = testprogs::randomProgram(seed, {.allowRaces = true});
+        c.mp.cpus = cpus;
+        c.mp.seed = seed * 0x9e3779b97f4a7c15ull + cpus;
+        c.mp.record = seed % 2 == 1;
+        c.memHook = seed % 4 >= 2;
+        c.instrCycles = 1 + seed % 3;
+        c.mp.quantum = seed % 5 == 0   ? 1 + seed % 3
+                       : seed % 5 == 1 ? 40 + seed
+                                       : 20'000;
+        c.mp.jitterNum = seed % 7 == 0 ? 0 : seed % 7 == 1 ? 5 : 1;
+        c.mp.jitterDen = seed % 7 == 2 ? 3 : 8;
+        if (seed % 4 == 3)
+            c.mp.fuel = 300 + 97 * seed;
+        c.runSeed = seed * 31 + cpus;
+        expectSameAsOracle(c);
+    }
+}
+
+// Thread exits by Halt and by a fault (invalid opcode, pc past the
+// end of the code) park like any shared-visible step: other CPUs'
+// joins must see them at their tick, not when the batch ran.
+TEST_P(EventDrivenSim, ExitsOrderLikeTheOracle)
+{
+    using enum Reg;
+    for (int variant = 0; variant < 3; ++variant) {
+        SCOPED_TRACE("variant " + std::to_string(variant));
+        Assembler a;
+        Label worker = a.newLabel();
+        a.li(r10, 3);
+        Label spawn = a.hereLabel();
+        asmlib::spawnThread(a, worker, r10);
+        a.addi(r10, r10, -1);
+        a.bnez(r10, spawn);
+        a.li(r1, 1);
+        a.sys(Sys::Join);
+        a.li(r1, 2);
+        a.sys(Sys::Join);
+        a.mov(r1, r0);
+        a.sys(Sys::Exit);
+        a.bind(worker);
+        a.muli(r5, r1, 37);
+        Label spin = a.hereLabel();
+        a.addi(r5, r5, -1);
+        a.xori(r6, r5, 0x55);
+        a.bnez(r5, spin);
+        a.mov(r0, r6);
+        if (variant == 0)
+            a.halt();
+        SweepCase c;
+        c.prog = a.finish("exits");
+        // Variant 1 falls off the end of the code; variant 2 hits an
+        // encoding the assembler refuses.
+        if (variant == 2) {
+            c.prog.code.push_back({static_cast<Opcode>(200), r0, r0, r0, 0});
+            c.prog.invalidateCode();
+        }
+        c.mp.cpus = GetParam();
+        c.mp.seed = 11 + static_cast<std::uint64_t>(variant);
+        c.runSeed = 5;
+        expectSameAsOracle(c);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Cpus, EventDrivenSim,
+                         ::testing::Values(CpuId{1}, CpuId{2}, CpuId{3},
+                                           CpuId{4}));
 
 } // namespace
 } // namespace dp

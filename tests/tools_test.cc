@@ -20,6 +20,10 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "common/bytes.hh"
+#include "journal/frame.hh"
+#include "replay/recording_io.hh"
+#include "testprogs.hh"
 #include "trace/json.hh"
 
 #ifndef DP_UNIPLAY_BIN
@@ -367,6 +371,35 @@ TEST_F(ToolsCli, StatsEmitsParsableMetricsSnapshot)
     ASSERT_NE(rows, nullptr);
     EXPECT_EQ(rows->items().size(),
               static_cast<std::size_t>(epochs->asNumber()));
+}
+
+TEST_F(ToolsCli, StreamSetClaimingAbsurdStreamCountFailsCleanly)
+{
+    // A CRC-valid stream header claiming 2^32-1 streams. The CLI used
+    // to allocate one image slot per claimed stream before reading any
+    // file, and died in bad_alloc; it must refuse with a message.
+    ByteWriter h;
+    h.u64fixed((std::uint64_t{journalMagic} << 32) | journalVersion3);
+    h.varu(0);           // stream index
+    h.varu(0xffffffff);  // stream count
+    h.varu(0);           // base epoch
+    writeGuestProgram(h, testprogs::lockedCounter(2, 10));
+    writeMachineConfig(h, MachineConfig{});
+    h.u64fixed(0);
+    const std::vector<std::uint8_t> img =
+        journal_detail::makeFrame(journalHeaderKind, h.take());
+    const std::string s0 = path("absurd.dpj.s0");
+    {
+        std::ofstream out(s0, std::ios::binary);
+        out.write(reinterpret_cast<const char *>(img.data()),
+                  static_cast<std::streamsize>(img.size()));
+    }
+    for (const std::string cmd : {"recover", "stats"}) {
+        CmdResult r = uniplay(cmd + " " + s0);
+        EXPECT_EQ(r.exitCode, 1) << cmd << ": " << r.output;
+        EXPECT_NE(r.output.find("4294967295 streams"), std::string::npos)
+            << cmd << ": " << r.output;
+    }
 }
 
 } // namespace

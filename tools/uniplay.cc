@@ -255,6 +255,12 @@ loadJournalSet(const std::string &path)
     }
     js.base = base;
     js.streams = si->streamCount;
+    // The count is the header's claim; refuse an absurd one before
+    // sizing anything by it.
+    if (js.streams > maxJournalStreams)
+        dp_fatal("journal ", probe, " claims ", js.streams,
+                 " streams; at most ", maxJournalStreams,
+                 " are supported");
     js.images.assign(js.streams, {});
     for (unsigned s = 0; s < js.streams; ++s) {
         const std::string p =
@@ -943,6 +949,12 @@ main(int argc, char **argv)
     if (args.journalStreamsSet && args.journalStreams == 0) {
         std::cerr << "--journal-streams needs at least one "
                      "stream\n";
+        return usage();
+    }
+    if (args.journalStreamsSet &&
+        args.journalStreams > maxJournalStreams) {
+        std::cerr << "--journal-streams takes at most "
+                  << maxJournalStreams << " streams\n";
         return usage();
     }
     if (args.ship && cmd != "record" && cmd != "record-asm") {
