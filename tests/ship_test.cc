@@ -9,6 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <future>
+#include <thread>
+
 #include "core/recorder.hh"
 #include "fault/fault.hh"
 #include "journal/sharded.hh"
@@ -73,11 +77,9 @@ struct ShipRun
 };
 
 ShipRun
-shipAll(const SourceRun &src, FaultInjector *faults = nullptr,
-        ShipSenderOptions sopts = {}, std::uint64_t lag_bound = 64)
+shipInto(StandbyApplier &standby, const SourceRun &src,
+         FaultInjector *faults = nullptr, ShipSenderOptions sopts = {})
 {
-    StandbyApplier standby(
-        {.lagBound = lag_bound, .faults = faults});
     ShipLink link(standby, faults);
     ShipSender sender(
         link, static_cast<unsigned>(src.images.size()),
@@ -95,6 +97,15 @@ shipAll(const SourceRun &src, FaultInjector *faults = nullptr,
     r.standby = standby.stats();
     r.link = link.stats();
     return r;
+}
+
+ShipRun
+shipAll(const SourceRun &src, FaultInjector *faults = nullptr,
+        ShipSenderOptions sopts = {}, std::uint64_t lag_bound = 64)
+{
+    StandbyApplier standby(
+        {.lagBound = lag_bound, .faults = faults});
+    return shipInto(standby, src, faults, sopts);
 }
 
 TEST(ShipCodec, BatchRoundTrips)
@@ -262,10 +273,25 @@ TEST(Ship, LagBoundHoldsAcksUntilReplayCatchesUp)
 {
     SourceRun src = recordSource(1);
     ASSERT_GE(src.epochs, 3u);
+    // The apply pool's one worker waits behind a gate until the
+    // standby holds an ack, so the replica cannot catch up between
+    // ingest and the lag check however the host schedules threads.
+    Executor pool(1);
+    std::promise<void> gate;
+    pool.submit([open = gate.get_future().share()] { open.wait(); });
+    StandbyApplier standby({.lagBound = 1, .pool = &pool});
+    std::thread opener([&] {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(30);
+        while (standby.stats().lagWaits == 0 &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        gate.set_value();
+    });
     ShipSenderOptions sopts;
     sopts.batchBytes = 1024; // several epochs arrive per pump
-    ShipRun r = shipAll(src, /*faults=*/nullptr, sopts,
-                        /*lag_bound=*/1);
+    ShipRun r = shipInto(standby, src, /*faults=*/nullptr, sopts);
+    opener.join();
 
     EXPECT_FALSE(r.senderFailed);
     ASSERT_TRUE(r.promotion.report.promoted);
