@@ -22,7 +22,6 @@ dp_add_bench(bench_epoch_sweep)
 dp_add_bench(bench_baselines)
 dp_add_bench(bench_scalability)
 dp_add_bench(bench_ckpt_cost)
-dp_add_bench(bench_host_pipeline)
 
 # bench_journal_scale links the journal layer directly: it measures
 # sharded commit throughput and partitioned recovery, not the record

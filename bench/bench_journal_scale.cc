@@ -11,7 +11,7 @@
  *      1 / 2 / 4 streams (async commit on). More streams means more
  *      committer strands serializing + checksumming concurrently; the
  *      bytes are identical in every shape.
- *   2. Recovery: recover a 4-stream multi-segment journal with
+ *   2. Recovery: recover a 4-stream journal with
  *      --jobs 1 / 2 / 4. Streams validate concurrently and the epoch
  *      range decodes partitioned across the pool.
  *
@@ -130,10 +130,10 @@ main()
               << Table::num(s1 / s4, 2)
               << "x (target >= 1.5x given spare cores)\n\n";
 
-    // --- recovery sweep: a 4-stream multi-segment journal ---------
+    // --- recovery sweep: a 4-stream journal ----------------------
     ShardedJournalWriter jw(recd.program(), recd.config(),
                             fingerprint,
-                            {.streams = 4, .segmentEpochs = 64});
+                            {.streams = 4});
     for (std::uint64_t i = 0; i < kAppends; ++i)
         jw.appendEpoch(recd.epochs[i % recd.epochs.size()],
                        static_cast<EpochId>(i));

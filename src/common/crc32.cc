@@ -5,13 +5,11 @@
 
 /**
  * Hardware path availability: x86-64 with the SSE4.2 crc32
- * instructions, unless the build opts out (DP_NO_HW_CRC — the
- * ci-speed preset uses this to pin the table path). The function is
- * compiled with a target attribute so the rest of the translation
- * unit — and the whole build — stays baseline x86-64; cpuid gates the
- * call at runtime.
+ * instructions. The function is compiled with a target attribute so
+ * the rest of the translation unit — and the whole build — stays
+ * baseline x86-64; cpuid gates the call at runtime.
  */
-#if defined(__x86_64__) && !defined(DP_NO_HW_CRC)
+#if defined(__x86_64__)
 #define DP_CRC32_HW_COMPILED 1
 #include <x86intrin.h>
 #else

@@ -10,14 +10,13 @@
  * Two implementations of the same function:
  *  - crc32cScalar(): table-driven, one table per process, portable.
  *  - a hardware path using SSE4.2 `crc32` instructions, selected at
- *    runtime by cpuid (see crc32.cc) and compiled in only on x86-64
- *    builds without DP_NO_HW_CRC.
+ *    runtime by cpuid (see crc32.cc) and compiled in only on x86-64.
  *
  * crc32c() dispatches between them. Both produce bit-identical
  * results for every (bytes, seed) input — CRC-32C is one fixed
  * function — which common_test pins with known-answer vectors,
  * seed-chaining sweeps, and hw/sw cross-checks. Artifact bytes
- * therefore never depend on which path a build or a machine takes.
+ * therefore never depend on which path a machine takes.
  */
 
 #ifndef DP_COMMON_CRC32_HH
@@ -68,8 +67,8 @@ crc32cScalar(std::span<const std::uint8_t> bytes, std::uint32_t seed = 0)
 bool crc32cHwAvailable();
 
 /** Force crc32c() onto the table path even when hardware is available
- *  (identity tests and the ci-speed fallback checks). Not thread-safe
- *  against concurrent crc32c() calls; flip it between sessions. */
+ *  (identity tests). Not thread-safe against concurrent crc32c()
+ *  calls; flip it between sessions. */
 void crc32cForceScalar(bool force);
 
 /** "sse4.2" or "table": the path crc32c() currently dispatches to. */

@@ -392,9 +392,10 @@ UniparallelRecorder::runPipeline(RecordOutcome &out, Executor &exec,
         e.targets.reserve(e.next.threads().size());
         for (const ThreadContext &tc : e.next.threads())
             e.targets.push_back({tc.retired, tc.state});
-        e.syncOrder = sync_order;
-        e.injectables = injectables;
-        e.signals = signals;
+        // Moved, not copied: the next run_tp_epoch resets all three.
+        e.syncOrder = std::move(sync_order);
+        e.injectables = std::move(injectables);
+        e.signals = std::move(signals);
         e.tpCycles = m.now - epoch_start_now;
         return e;
     };

@@ -20,8 +20,9 @@
  *             | varu dirtyPages | varu tpInstrs | epochRecord
  *
  * The bracketed fields appear exactly when N > 1 (version 3); N == 1
- * is version 2, an implicit stream 0 of 1 at baseEpoch 0 whose
- * streamSeq is the epoch index itself.
+ * is version 2, an implicit stream 0 of 1 whose streamSeq is the
+ * epoch index itself. baseEpoch is always written as 0, and a
+ * decoder refuses any other value: journals are never truncated.
  */
 
 #ifndef DP_JOURNAL_FRAME_HH
@@ -141,11 +142,6 @@ reportScanStop(RecoveryReport &rep, const FrameScanError &f)
     rep.detail = f.detail;
 }
 
-/** Largest baseEpoch a header may claim. Far below 2^64, so epoch
- *  index arithmetic over any real stream set cannot wrap. */
-inline constexpr std::uint64_t journalMaxBaseEpoch = std::uint64_t{1}
-                                                     << 62;
-
 /** A decoded header payload. */
 struct JournalHeader
 {
@@ -168,8 +164,8 @@ encodeHeaderPayload(const StreamInfo &id, const GuestProgram &prog,
 /** Decode a header payload found at image offset @p at. Throws only
  *  FrameScanError (offsets within the image): bad magic or version,
  *  a stream identity that does not fit 32 bits or is not a valid
- *  slot, a version-3 header claiming one stream, a baseEpoch of
- *  journalMaxBaseEpoch or more, and any malformed field. */
+ *  slot, a version-3 header claiming one stream, a non-zero
+ *  baseEpoch, and any malformed field. */
 JournalHeader decodeHeaderPayload(std::span<const std::uint8_t> payload,
                                   std::size_t at);
 

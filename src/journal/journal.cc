@@ -77,15 +77,13 @@ encodeHeaderPayload(const StreamInfo &id, const GuestProgram &prog,
                     const MachineConfig &cfg, std::uint64_t fingerprint)
 {
     const bool sharded = id.streamCount > 1;
-    dp_assert(sharded || id.baseEpoch == 0,
-              "a version-2 journal carries no baseEpoch");
     ByteWriter p;
     p.u64fixed((std::uint64_t{journalMagic} << 32) |
                (sharded ? journalVersion3 : journalVersion));
     if (sharded) {
         p.varu(id.streamIndex);
         p.varu(id.streamCount);
-        p.varu(id.baseEpoch);
+        p.varu(0); // baseEpoch
     }
     writeGuestProgram(p, prog);
     writeMachineConfig(p, cfg);
@@ -116,13 +114,14 @@ decodeHeaderPayload(std::span<const std::uint8_t> payload, std::size_t at)
                     JournalError::BadPayload, at,
                     detail::concat("stream ", stream, " of ", count,
                                    " is not a valid stream identity")};
-            if (base >= journalMaxBaseEpoch)
+            if (base != 0)
                 throw FrameScanError{
                     JournalError::BadPayload, at,
                     detail::concat("base epoch ", base,
-                                   " is out of range")};
+                                   ": truncated journals are not "
+                                   "supported")};
             h.stream = {static_cast<std::uint32_t>(stream),
-                        static_cast<std::uint32_t>(count), base};
+                        static_cast<std::uint32_t>(count)};
             h.sharedSuffix = payload.subspan(suffix);
         } else if (version == journalVersion) {
             h.sharedSuffix = payload;

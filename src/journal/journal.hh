@@ -46,8 +46,10 @@ inline constexpr std::uint32_t journalVersion = 2;
 /** v3: one stream of a sharded journal (sharded.hh). The header
  *  additionally carries (streamIndex, streamCount, baseEpoch) and
  *  epoch payloads a per-stream sequence number, so recovery can merge
- *  streams back into a total epoch order. Single-stream journals keep
- *  writing v2 — v3 only ever appears with streamCount > 1. */
+ *  streams back into a total epoch order. baseEpoch is always 0:
+ *  decoders refuse any other value, since no journal is ever
+ *  truncated. Single-stream journals keep writing v2 — v3 only ever
+ *  appears with streamCount > 1. */
 inline constexpr std::uint32_t journalVersion3 = 3;
 
 /** Most streams one journal set may have. The writer refuses more,
@@ -62,12 +64,11 @@ inline constexpr std::uint8_t journalEpochKind = 2;
 inline constexpr std::uint8_t journalCommitMarker = 0x5a;
 
 /** Which stream of which set a journal image is, as its header
- *  claims. A version-2 image is stream 0 of 1 with baseEpoch 0. */
+ *  claims. A version-2 image is stream 0 of 1. */
 struct StreamInfo
 {
     std::uint32_t streamIndex = 0;
     std::uint32_t streamCount = 1;
-    std::uint64_t baseEpoch = 0;
 };
 
 /** Why a journal scan stopped (or could not start). */
@@ -135,9 +136,6 @@ struct RecoveryReport
     /** Streams in the sharded set this stream belongs to (1 for a v2
      *  journal). */
     std::uint32_t streamCount = 1;
-    /** First epoch index the journal carries; non-zero once covered
-     *  segments have been truncated away. */
-    std::uint64_t baseEpoch = 0;
 
     /** Every frame validated and nothing was discarded. */
     bool clean() const

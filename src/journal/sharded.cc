@@ -30,20 +30,12 @@ using journal_detail::reportScanStop;
 namespace
 {
 
-/** First epoch index >= @p base owned by stream @p s of @p n. */
+/** Epochs below @p limit owned by stream @p s of @p n (stream s owns
+ *  s, s + n, s + 2n, ...). */
 std::uint64_t
-firstIndexOwned(std::uint64_t base, unsigned s, unsigned n)
+epochsOwnedBelow(std::uint64_t limit, unsigned s, unsigned n)
 {
-    return base + (s + n - base % n) % n;
-}
-
-/** Epochs in [base, limit) owned by stream @p s of @p n. */
-std::uint64_t
-epochsOwnedBelow(std::uint64_t base, std::uint64_t limit, unsigned s,
-                 unsigned n)
-{
-    std::uint64_t first = firstIndexOwned(base, s, n);
-    return limit > first ? (limit - first + n - 1) / n : 0;
+    return limit > s ? (limit - s + n - 1) / n : 0;
 }
 
 /** Offset of @p payload within @p image. */
@@ -96,7 +88,6 @@ struct StreamScan
     /** The decoded header (meaningful once report.headerOk). */
     JournalHeader header;
     std::vector<FrameRef> frames;
-    std::uint64_t firstSeq = 0;
     std::size_t headerEnd = 0;
     std::size_t imageSize = 0;
 };
@@ -131,12 +122,8 @@ scanStream(std::span<const std::uint8_t> bytes)
     rep.headerOk = true;
     rep.streamIndex = id.streamIndex;
     rep.streamCount = id.streamCount;
-    rep.baseEpoch = id.baseEpoch;
     rep.committedBytes = pos;
     sc.headerEnd = pos;
-    sc.firstSeq =
-        firstIndexOwned(id.baseEpoch, id.streamIndex, id.streamCount) /
-        id.streamCount;
     try {
         while (pos < bytes.size()) {
             std::size_t frame_start = pos;
@@ -148,7 +135,7 @@ scanStream(std::span<const std::uint8_t> bytes)
             const std::size_t at = offsetIn(bytes, f.payload);
             ByteReader p(f.payload);
             const EpochKey k = decodeEpochKey(p, id, at);
-            const std::uint64_t expect = sc.firstSeq + sc.frames.size();
+            const std::uint64_t expect = sc.frames.size();
             if (k.seq != expect)
                 throw FrameScanError{
                     JournalError::BadEpochIndex, frame_start,
@@ -263,8 +250,7 @@ ShardedJournalWriter::ShardedJournalWriter(
     const GuestProgram &prog, const MachineConfig &cfg,
     std::uint64_t options_fingerprint, ShardedJournalOptions opts,
     FaultInjector *faults)
-    : streams_(opts.streams ? opts.streams : 1),
-      segmentEpochs_(opts.segmentEpochs), faults_(faults),
+    : streams_(opts.streams ? opts.streams : 1), faults_(faults),
       prog_(prog), cfg_(cfg), fingerprint_(options_fingerprint)
 {
     dp_assert(streams_ <= maxJournalStreams, "at most ",
@@ -277,8 +263,7 @@ ShardedJournalWriter::ShardedJournalWriter(
 ShardedJournalWriter::ShardedJournalWriter(
     std::vector<std::vector<std::uint8_t>> valid_prefixes,
     ShardedJournalOptions opts, FaultInjector *faults)
-    : streams_(opts.streams ? opts.streams : 1),
-      segmentEpochs_(opts.segmentEpochs), faults_(faults)
+    : streams_(opts.streams ? opts.streams : 1), faults_(faults)
 {
     dp_assert(valid_prefixes.size() == streams_,
               "resume prefixes must match the stream count");
@@ -298,7 +283,6 @@ ShardedJournalWriter::ShardedJournalWriter(
                   "resume prefix must be a validated stream prefix");
         if (!have_shared) {
             have_shared = true;
-            base_ = sc.report.baseEpoch;
             prog_ = std::move(sc.header.prog);
             cfg_ = std::move(sc.header.cfg);
             fingerprint_ = sc.header.fingerprint;
@@ -321,7 +305,7 @@ ShardedJournalWriter::ShardedJournalWriter(
             st.frameEnds.push_back(sc.headerEnd);
             for (const FrameRef &f : sc.frames)
                 st.frameEnds.push_back(f.frameEnd);
-            st.nextSeq = sc.firstSeq + sc.frames.size();
+            st.nextSeq = sc.frames.size();
         }
         // The global append cursor resumes at the consistent cut: the
         // smallest epoch index missing from its owning stream.
@@ -347,27 +331,15 @@ ShardedJournalWriter::seqOf(std::uint64_t index) const
     return index / streams_;
 }
 
-std::uint64_t
-ShardedJournalWriter::firstIndexOf(unsigned s) const
-{
-    return firstIndexOwned(base_, s, streams_);
-}
-
-std::vector<std::uint8_t>
-ShardedJournalWriter::headerFrame(unsigned s, std::uint64_t base) const
-{
-    return makeFrame(journalHeaderKind,
-                     encodeHeaderPayload({s, streams_, base}, *prog_,
-                                         *cfg_, fingerprint_));
-}
-
 void
 ShardedJournalWriter::startStream(unsigned s)
 {
     Stream &st = shards_[s];
-    st.buf = headerFrame(s, base_);
+    st.buf = makeFrame(journalHeaderKind,
+                       encodeHeaderPayload({s, streams_}, *prog_, *cfg_,
+                                           fingerprint_));
     st.frameEnds.assign(1, st.buf.size());
-    st.nextSeq = seqOf(firstIndexOf(s));
+    st.nextSeq = 0;
 }
 
 std::string
@@ -558,60 +530,10 @@ ShardedJournalWriter::imageSet() const
     return out;
 }
 
-std::size_t
-ShardedJournalWriter::truncateCoveredSegments(
-    std::uint64_t durable_epoch)
-{
-    if (streams_ == 1 || segmentEpochs_ == 0)
-        return 0;
-    // Nothing beyond the append cursor exists to be covered, and
-    // truncating past it would leave stream headers claiming a base
-    // ahead of their next frame's sequence number.
-    durable_epoch = std::min(durable_epoch, nextIndex_);
-    const std::uint64_t new_base =
-        durable_epoch / segmentEpochs_ * segmentEpochs_;
-    if (new_base <= base_)
-        return 0;
-    flush();
-    std::size_t dropped = 0;
-    for (unsigned s = 0; s < streams_; ++s) {
-        Stream &st = shards_[s];
-        // Frames below the new base, oldest first — per-stream frames
-        // are in epoch order, so they are exactly a prefix.
-        const std::uint64_t in_buf = st.frameEnds.size() - 1;
-        const std::uint64_t first_seq = firstIndexOf(s) / streams_;
-        const std::uint64_t keep_from_seq =
-            firstIndexOwned(new_base, s, streams_) / streams_;
-        const std::uint64_t drop = std::min<std::uint64_t>(
-            in_buf, keep_from_seq - first_seq);
-
-        std::vector<std::uint8_t> fresh = headerFrame(s, new_base);
-        const std::size_t header_end = fresh.size();
-        const std::size_t cut = st.frameEnds[drop];
-        fresh.insert(fresh.end(), st.buf.begin() + cut,
-                     st.buf.end());
-        if (st.buf.size() > fresh.size())
-            dropped += st.buf.size() - fresh.size();
-
-        std::vector<std::size_t> ends;
-        ends.push_back(header_end);
-        for (std::size_t k = drop + 1; k < st.frameEnds.size(); ++k)
-            ends.push_back(st.frameEnds[k] - cut + header_end);
-        st.buf = std::move(fresh);
-        st.frameEnds = std::move(ends);
-    }
-    base_ = new_base;
-    // Restream the rewritten shards so the on-disk set matches.
-    if (!basePath_.empty())
-        streamTo(basePath_);
-    return dropped;
-}
-
 bool
 ShardedJournalWriter::streamTo(const std::string &base)
 {
     flush();
-    basePath_ = base;
     bool ok = true;
     for (unsigned s = 0; s < streams_; ++s) {
         Stream &st = shards_[s];
@@ -771,12 +693,9 @@ recoverShardedJournal(
     }
 
     const unsigned canonical = (*majority)[0];
-    const std::uint64_t base = scans[canonical].report.baseEpoch;
-    out.baseEpoch = base;
     out.optionsFingerprint = scans[canonical].header.fingerprint;
     out.report.headerOk = true;
     out.report.streamCount = n;
-    out.report.baseEpoch = base;
 
     // The consistent cut E: the smallest epoch index missing from its
     // owning stream. Everything below E merges into a total order;
@@ -784,12 +703,9 @@ recoverShardedJournal(
     std::uint64_t cut = 0;
     unsigned limiting = 0;
     for (unsigned s = 0; s < n; ++s) {
-        const std::uint64_t first_seq =
-            firstIndexOwned(base, s, n) / n;
         const std::uint64_t committed =
             usable[s] ? scans[s].frames.size() : 0;
-        const std::uint64_t missing =
-            (first_seq + committed) * n + s;
+        const std::uint64_t missing = committed * n + s;
         if (s == 0 || missing < cut) {
             cut = missing;
             limiting = s;
@@ -799,9 +715,7 @@ recoverShardedJournal(
     // Phase B: decode the kept epochs, partitioned across the pool.
     // Writes land in disjoint slots; failures are merged to the
     // lowest epoch afterwards, so the result is independent of jobs.
-    const std::uint64_t count = cut - base;
-    std::vector<EpochRecord> epochs(
-        static_cast<std::size_t>(count));
+    std::vector<EpochRecord> epochs(static_cast<std::size_t>(cut));
     std::mutex failures_mu;
     std::optional<DecodeFailure> failure;
     auto decodeRange = [&](std::uint64_t lo, std::uint64_t hi) {
@@ -809,11 +723,9 @@ recoverShardedJournal(
         for (std::uint64_t i = lo; i < hi && !local; ++i) {
             const unsigned s = static_cast<unsigned>(i % n);
             const StreamScan &sc = scans[s];
-            const FrameRef &fr =
-                sc.frames[static_cast<std::size_t>(i / n -
-                                                   sc.firstSeq)];
+            const FrameRef &fr = sc.frames[static_cast<std::size_t>(i / n)];
             try {
-                epochs[static_cast<std::size_t>(i - base)] =
+                epochs[static_cast<std::size_t>(i)] =
                     decodeEpochPayload(
                         streams[s].subspan(fr.payloadOff,
                                            fr.payloadLen),
@@ -828,13 +740,12 @@ recoverShardedJournal(
                 failure = std::move(local);
         }
     };
-    if (ex && jobs > 1 && count > 1) {
-        const std::uint64_t chunks =
-            std::min<std::uint64_t>(jobs, count);
-        const std::uint64_t per = (count + chunks - 1) / chunks;
+    if (ex && jobs > 1 && cut > 1) {
+        const std::uint64_t chunks = std::min<std::uint64_t>(jobs, cut);
+        const std::uint64_t per = (cut + chunks - 1) / chunks;
         std::vector<TaskFuture<void>> waits;
         for (std::uint64_t c = 0; c < chunks; ++c) {
-            const std::uint64_t lo = base + c * per;
+            const std::uint64_t lo = c * per;
             const std::uint64_t hi =
                 std::min<std::uint64_t>(lo + per, cut);
             waits.push_back(
@@ -844,12 +755,12 @@ recoverShardedJournal(
         for (TaskFuture<void> &w : waits)
             w.get();
     } else {
-        decodeRange(base, cut);
+        decodeRange(0, cut);
     }
     if (failure) {
         cut = failure->epoch;
         limiting = static_cast<unsigned>(cut % n);
-        epochs.resize(static_cast<std::size_t>(cut - base));
+        epochs.resize(static_cast<std::size_t>(cut));
     }
     out.consistentEpochs = cut;
 
@@ -864,7 +775,7 @@ recoverShardedJournal(
             any_beyond_cut = true;
             continue;
         }
-        sr.framesKept = epochsOwnedBelow(base, cut, s, n);
+        sr.framesKept = epochsOwnedBelow(cut, s, n);
         sr.keptBytes =
             sr.framesKept == 0
                 ? scans[s].headerEnd
@@ -878,7 +789,7 @@ recoverShardedJournal(
         if (sr.report.tailError != JournalError::None)
             all_clean = false;
     }
-    out.report.framesRecovered = cut - base;
+    out.report.framesRecovered = cut;
     out.report.committedBytes = committed_bytes;
     out.report.bytesDiscarded = total_bytes - committed_bytes;
 
@@ -916,12 +827,7 @@ recoverShardedJournal(
         }
     }
 
-    // Reassemble the replayable prefix (or, for a truncated journal,
-    // the tail to apply on top of the covering checkpoint).
-    if (base > 0) {
-        out.tailEpochs = std::move(epochs);
-        return out;
-    }
+    // Reassemble the replayable prefix.
     out.recording = std::make_unique<Recording>(
         scans[canonical].header.prog, scans[canonical].header.cfg);
     Recording &rec = *out.recording;

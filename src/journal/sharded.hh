@@ -13,7 +13,7 @@
  *
  * Each stream is a self-describing image in the frame envelope of
  * frame.hh. With N > 1 it is a journalVersion3 image: its header
- * carries (streamIndex, streamCount, baseEpoch) and every epoch
+ * carries (streamIndex, streamCount, baseEpoch = 0) and every epoch
  * payload a streamSeq after its epochIndex.
  *
  * streamSeq = epochIndex / streamCount is the per-stream sequence
@@ -26,7 +26,7 @@
  *
  * Consistent-cut recovery rule: scan every stream independently
  * (envelope + CRC + sequence metadata, concurrently across streams),
- * then keep epochs [baseEpoch, E) where E is the smallest epoch index
+ * then keep epochs [0, E) where E is the smallest epoch index
  * missing from its owning stream's committed prefix. Frames beyond E
  * on other streams are discarded (fail-closed: the total order breaks
  * at the first hole), and reported as InconsistentCut when every
@@ -69,10 +69,6 @@ struct ShardedJournalOptions
 {
     /** Stream count N; 1 writes a plain version-2 journal. */
     unsigned streams = 1;
-    /** Global epochs per segment (0 = one unbounded segment).
-     *  truncateCoveredSegments() can only drop whole segments, so the
-     *  retained base epoch is always a multiple of this. */
-    std::uint64_t segmentEpochs = 0;
 };
 
 /**
@@ -144,10 +140,6 @@ class ShardedJournalWriter
     /** Stream count N. */
     unsigned streams() const { return streams_; }
 
-    /** First epoch index the journal still carries (advanced by
-     *  truncateCoveredSegments). */
-    std::uint64_t baseEpoch() const { return base_; }
-
     /** False once any stream's fault site killed its committer. */
     bool alive() const;
     /** False once stream @p s's committer died. */
@@ -168,17 +160,6 @@ class ShardedJournalWriter
 
     /** Copies of all stream images, index-aligned. */
     std::vector<std::vector<std::uint8_t>> imageSet() const;
-
-    /**
-     * Drop every whole segment of epochs below @p durable_epoch (all
-     * its epochs are covered by a durable checkpoint, so the journal
-     * no longer needs them for recovery). Rewrites each stream as a
-     * fresh header with the advanced baseEpoch plus the retained
-     * frames, and restreams attached files. Returns bytes dropped
-     * across all streams; 0 when segmentEpochs is 0, streams is 1
-     * (v2 has no baseEpoch), or no whole segment is covered yet.
-     */
-    std::size_t truncateCoveredSegments(std::uint64_t durable_epoch);
 
     /** Stream every shard to streamPath(base, s, N). False (with a
      *  warning) if any file cannot be opened. */
@@ -212,12 +193,7 @@ class ShardedJournalWriter
 
     /** Per-stream sequence number owning epoch @p index. */
     std::uint64_t seqOf(std::uint64_t index) const;
-    /** First epoch index >= base_ owned by stream @p s. */
-    std::uint64_t firstIndexOf(unsigned s) const;
-    /** A fresh header frame for stream @p s at base epoch @p base. */
-    std::vector<std::uint8_t> headerFrame(unsigned s,
-                                          std::uint64_t base) const;
-    /** Reset stream @p s to a header-only image at base_. */
+    /** Reset stream @p s to a header-only image. */
     void startStream(unsigned s);
     void commitToStream(unsigned s, const EpochRecord &e,
                         EpochId index);
@@ -225,18 +201,14 @@ class ShardedJournalWriter
     void flushTail(Stream &st);
 
     unsigned streams_ = 1;
-    std::uint64_t segmentEpochs_ = 0;
-    std::uint64_t base_ = 0;
     std::uint64_t nextIndex_ = 0; ///< producer-side append cursor
     FaultInjector *faults_ = nullptr;
     TraceRecorder *trace_ = nullptr;
-    /** Header ingredients, kept so truncation can rebuild stream
-     *  headers with an advanced baseEpoch. */
+    /** Header ingredients, kept so a resumed writer can rebuild the
+     *  header of a stream whose bytes were entirely lost. */
     std::optional<GuestProgram> prog_;
     std::optional<MachineConfig> cfg_;
     std::uint64_t fingerprint_ = 0;
-    /** streamTo() base path; truncation restreams through it. */
-    std::string basePath_;
     std::vector<Stream> shards_;
     std::unique_ptr<Executor> pool_;
     mutable std::mutex mu_;
@@ -260,18 +232,13 @@ struct StreamRecovery
 struct RecoveredShardedJournal
 {
     /** The recovered epoch prefix [0, consistentEpochs) as a
-     *  replayable Recording. Non-null exactly when report.headerOk
-     *  and baseEpoch == 0 (a truncated journal no longer carries its
-     *  early epochs; see tailEpochs). */
+     *  replayable Recording. Non-null exactly when report.headerOk. */
     std::unique_ptr<Recording> recording;
     /** Fingerprint from the canonical header. */
     std::uint64_t optionsFingerprint = 0;
     /** Streams in the set (the input arity). */
     std::uint32_t streamCount = 0;
-    /** First epoch the journal carries (non-zero after segment
-     *  truncation). */
-    std::uint64_t baseEpoch = 0;
-    /** The consistent cut E: epochs [baseEpoch, E) were recovered;
+    /** The consistent cut E: epochs [0, E) were recovered;
      *  epoch E is the first one missing from its owning stream. */
     std::uint64_t consistentEpochs = 0;
     /** Merged verdict. clean() means every stream validated fully
@@ -279,9 +246,6 @@ struct RecoveredShardedJournal
     RecoveryReport report;
     /** Per-stream verdicts and kept prefixes, index-aligned. */
     std::vector<StreamRecovery> streams;
-    /** When baseEpoch > 0: the decoded epochs [baseEpoch, E) — the
-     *  recovery tail to apply on top of the covering checkpoint. */
-    std::vector<EpochRecord> tailEpochs;
 };
 
 /**

@@ -132,13 +132,6 @@ StandbyApplier::ingestLocked(unsigned s)
                                "header disagrees with its siblings");
                     return;
                 }
-                if (h.stream.baseEpoch != 0) {
-                    failLocked("cannot ship a truncated journal "
-                               "(baseEpoch " +
-                               std::to_string(h.stream.baseEpoch) +
-                               ")");
-                    return;
-                }
                 if (!prog_) {
                     prog_ = std::make_shared<const GuestProgram>(
                         std::move(h.prog));
@@ -157,7 +150,7 @@ StandbyApplier::ingestLocked(unsigned s)
             }
             journal_detail::EpochKey key;
             EpochRecord e = journal_detail::decodeEpochPayload(
-                f.payload, {s, n, 0}, at, &key);
+                f.payload, {s, n}, at, &key);
             if (key.index != st.nextIndex) {
                 failLocked(where + "epoch frame " +
                            std::to_string(key.index) + " where " +

@@ -9,7 +9,7 @@
  * watermark pair the ERMIA replication design tracks:
  *
  *   persisted  — epochs whose frames are durable in local images
- *                (contiguous from the journal's base epoch);
+ *                (contiguous from epoch 0);
  *   replayed   — epochs the replica machine has applied.
  *
  * Bounded lag: receive() holds its ack while persisted - replayed

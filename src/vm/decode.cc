@@ -34,14 +34,12 @@ DecodedProgram::build(const GuestProgram &prog)
         d.rs1 = static_cast<std::uint8_t>(in.rs1);
         d.rs2 = static_cast<std::uint8_t>(in.rs2);
         d.imm = in.imm;
-        if (table) {
-            // Out-of-enum encodings resolve to the fault handler (the
-            // trailing table slot), so the hot loop never range-checks.
-            auto idx = static_cast<std::size_t>(in.op);
-            if (idx > static_cast<std::size_t>(Opcode::NumOpcodes))
-                idx = static_cast<std::size_t>(Opcode::NumOpcodes);
-            d.handler = table[idx];
-        }
+        // Out-of-enum encodings resolve to the fault handler (the
+        // trailing table slot), so the hot loop never range-checks.
+        auto idx = static_cast<std::size_t>(in.op);
+        if (idx > static_cast<std::size_t>(Opcode::NumOpcodes))
+            idx = static_cast<std::size_t>(Opcode::NumOpcodes);
+        d.handler = table[idx];
         dec->code.push_back(d);
     }
     return dec;

@@ -5,8 +5,7 @@
  * The interpreter's inner loop should not re-derive anything per
  * instruction that is a pure function of the program text. Decoding
  * pre-resolves, per instruction:
- *  - the dispatch handler (a computed-goto label address in threaded
- *    builds; unused in the portable switch fallback),
+ *  - the dispatch handler (a computed-goto label address),
  *  - a class bitmask (syscall / atomic / memory), so the block runner
  *    can test "must I stop here?" with one AND, and
  *  - the operands, widened to plain integers.
@@ -50,7 +49,7 @@ enum : std::uint8_t
 struct DecodedInstr
 {
     /** Threaded-dispatch target (label address inside the block
-     *  runner); nullptr in switch-fallback builds. */
+     *  runner). */
     const void *handler = nullptr;
     Opcode op = Opcode::Nop;
     std::uint8_t cls = 0;
@@ -77,10 +76,8 @@ std::uint8_t opcodeClass(Opcode op);
 
 /**
  * Handler table of the threaded block runner, indexed by opcode, with
- * one extra trailing slot for invalid encodings. nullptr when the
- * build uses the portable switch fallback (DP_THREADED_DISPATCH off
- * or a non-GNU compiler). Defined in interp.cc — the labels live in
- * the block runner.
+ * one extra trailing slot for invalid encodings. Defined in
+ * interp.cc — the labels live in the block runner.
  */
 const void *const *interpDispatchTable();
 

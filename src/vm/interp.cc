@@ -16,17 +16,9 @@ constexpr std::uint64_t faultExitCode = 0xdead;
 
 // The decode table (decode.cc) allocates one handler slot per opcode
 // plus a trailing fault slot; adding an opcode means adding a handler
-// to BOTH dispatch variants below.
+// and a label-table entry below.
 static_assert(static_cast<unsigned>(Opcode::NumOpcodes) == 48,
-              "opcode count changed: update the dispatch tables");
-
-#if defined(DP_THREADED_DISPATCH) && defined(__GNUC__)
-#define DP_DISPATCH_THREADED 1
-#else
-#define DP_DISPATCH_THREADED 0
-#endif
-
-#if DP_DISPATCH_THREADED
+              "opcode count changed: update the dispatch table");
 
 namespace
 {
@@ -37,9 +29,7 @@ namespace
  * exporter: called with @p tc == nullptr it returns the label table
  * (indexed by opcode, trailing slot = fault) without executing
  * anything; otherwise it runs and fills @p *out, returning nullptr.
- *
- * Semantics are identical to the portable switch fallback below —
- * the two are maintained as a pair.
+ * Computed goto is a GNU extension, which GCC and Clang both support.
  */
 const void *const *
 threadedBlockRun(ThreadContext *tc, PagedMemory *memp,
@@ -322,261 +312,11 @@ write_back:
 
 } // namespace
 
-#else // !DP_DISPATCH_THREADED
-
-namespace
-{
-
-/**
- * Portable switch-dispatch block runner: the exact semantics of the
- * threaded variant above, for compilers without computed goto or
- * builds with DP_THREADED_DISPATCH off.
- */
-Interpreter::BlockResult
-switchBlockRun(ThreadContext &tc, PagedMemory &mem, std::uint64_t max,
-               std::uint8_t stop, std::uint8_t first_stop,
-               const DecodedInstr *code, std::size_t code_size)
-{
-    std::uint64_t *const regs = tc.regs.data();
-    std::uint64_t pc = tc.pc;
-    std::uint64_t n = 0;
-    StepKind last = StepKind::Ok;
-    std::uint8_t boundary = 0;
-
-    for (;;) {
-        if (n == max)
-            break;
-        if (pc >= code_size) {
-            if (stop & ClsExit) {
-                boundary = ClsExit;
-                break;
-            }
-            tc.state = RunState::Exited;
-            tc.exitCode = faultExitCode;
-            ++n;
-            last = StepKind::Fault;
-            break;
-        }
-        const DecodedInstr &in = code[pc];
-        if (in.cls & (n == 0 ? first_stop : stop)) {
-            last = (in.cls & ClsSyscall) ? StepKind::SyscallTrap
-                                         : StepKind::Ok;
-            boundary = in.cls;
-            break;
-        }
-
-        std::uint64_t imm = static_cast<std::uint64_t>(in.imm);
-        std::uint64_t next_pc = pc + 1;
-
-        switch (in.op) {
-          case Opcode::Nop:
-            break;
-          case Opcode::Li:
-            regs[in.rd] = imm;
-            break;
-          case Opcode::Mov:
-            regs[in.rd] = regs[in.rs1];
-            break;
-
-          case Opcode::Add: regs[in.rd] = regs[in.rs1] + regs[in.rs2]; break;
-          case Opcode::Sub: regs[in.rd] = regs[in.rs1] - regs[in.rs2]; break;
-          case Opcode::Mul: regs[in.rd] = regs[in.rs1] * regs[in.rs2]; break;
-          case Opcode::Divu:
-            // RISC-V semantics: division by zero yields all ones.
-            regs[in.rd] = regs[in.rs2] == 0
-                              ? ~std::uint64_t{0}
-                              : regs[in.rs1] / regs[in.rs2];
-            break;
-          case Opcode::Remu:
-            regs[in.rd] = regs[in.rs2] == 0
-                              ? regs[in.rs1]
-                              : regs[in.rs1] % regs[in.rs2];
-            break;
-          case Opcode::And: regs[in.rd] = regs[in.rs1] & regs[in.rs2]; break;
-          case Opcode::Or:  regs[in.rd] = regs[in.rs1] | regs[in.rs2]; break;
-          case Opcode::Xor: regs[in.rd] = regs[in.rs1] ^ regs[in.rs2]; break;
-          case Opcode::Shl:
-            regs[in.rd] = regs[in.rs1] << (regs[in.rs2] & 63);
-            break;
-          case Opcode::Shr:
-            regs[in.rd] = regs[in.rs1] >> (regs[in.rs2] & 63);
-            break;
-          case Opcode::Sar:
-            regs[in.rd] = static_cast<std::uint64_t>(
-                static_cast<std::int64_t>(regs[in.rs1]) >>
-                (regs[in.rs2] & 63));
-            break;
-          case Opcode::SltU:
-            regs[in.rd] = regs[in.rs1] < regs[in.rs2] ? 1 : 0;
-            break;
-          case Opcode::SltS:
-            regs[in.rd] = static_cast<std::int64_t>(regs[in.rs1]) <
-                                  static_cast<std::int64_t>(regs[in.rs2])
-                              ? 1
-                              : 0;
-            break;
-          case Opcode::Seq:
-            regs[in.rd] = regs[in.rs1] == regs[in.rs2] ? 1 : 0;
-            break;
-
-          case Opcode::Addi: regs[in.rd] = regs[in.rs1] + imm; break;
-          case Opcode::Andi: regs[in.rd] = regs[in.rs1] & imm; break;
-          case Opcode::Ori:  regs[in.rd] = regs[in.rs1] | imm; break;
-          case Opcode::Xori: regs[in.rd] = regs[in.rs1] ^ imm; break;
-          case Opcode::Shli: regs[in.rd] = regs[in.rs1] << (imm & 63); break;
-          case Opcode::Shri: regs[in.rd] = regs[in.rs1] >> (imm & 63); break;
-          case Opcode::Muli: regs[in.rd] = regs[in.rs1] * imm; break;
-
-          case Opcode::Ld8:
-            regs[in.rd] = mem.read8(regs[in.rs1] + imm);
-            break;
-          case Opcode::Ld16:
-            regs[in.rd] = mem.read16(regs[in.rs1] + imm);
-            break;
-          case Opcode::Ld32:
-            regs[in.rd] = mem.read32(regs[in.rs1] + imm);
-            break;
-          case Opcode::Ld64:
-            regs[in.rd] = mem.read64(regs[in.rs1] + imm);
-            break;
-          case Opcode::St8:
-            mem.write8(regs[in.rs1] + imm,
-                       static_cast<std::uint8_t>(regs[in.rs2]));
-            break;
-          case Opcode::St16:
-            mem.write16(regs[in.rs1] + imm,
-                        static_cast<std::uint16_t>(regs[in.rs2]));
-            break;
-          case Opcode::St32:
-            mem.write32(regs[in.rs1] + imm,
-                        static_cast<std::uint32_t>(regs[in.rs2]));
-            break;
-          case Opcode::St64:
-            mem.write64(regs[in.rs1] + imm, regs[in.rs2]);
-            break;
-
-          case Opcode::Beq:
-            if (regs[in.rs1] == regs[in.rs2])
-                next_pc = imm;
-            break;
-          case Opcode::Bne:
-            if (regs[in.rs1] != regs[in.rs2])
-                next_pc = imm;
-            break;
-          case Opcode::BltU:
-            if (regs[in.rs1] < regs[in.rs2])
-                next_pc = imm;
-            break;
-          case Opcode::BltS:
-            if (static_cast<std::int64_t>(regs[in.rs1]) <
-                static_cast<std::int64_t>(regs[in.rs2]))
-                next_pc = imm;
-            break;
-          case Opcode::BgeU:
-            if (regs[in.rs1] >= regs[in.rs2])
-                next_pc = imm;
-            break;
-          case Opcode::BgeS:
-            if (static_cast<std::int64_t>(regs[in.rs1]) >=
-                static_cast<std::int64_t>(regs[in.rs2]))
-                next_pc = imm;
-            break;
-          case Opcode::Beqz:
-            if (regs[in.rs1] == 0)
-                next_pc = imm;
-            break;
-          case Opcode::Bnez:
-            if (regs[in.rs1] != 0)
-                next_pc = imm;
-            break;
-          case Opcode::Jmp:
-            next_pc = imm;
-            break;
-          case Opcode::Jal:
-            regs[in.rd] = pc + 1;
-            next_pc = imm;
-            break;
-          case Opcode::Jr:
-            next_pc = regs[in.rs1];
-            break;
-
-          case Opcode::Cas: {
-            std::uint64_t addr = regs[in.rs1];
-            std::uint64_t old = mem.read64(addr);
-            if (old == regs[in.rd])
-                mem.write64(addr, regs[in.rs2]);
-            regs[in.rd] = old;
-            break;
-          }
-          case Opcode::FetchAdd: {
-            std::uint64_t addr = regs[in.rs1];
-            std::uint64_t old = mem.read64(addr);
-            mem.write64(addr, old + regs[in.rs2]);
-            regs[in.rd] = old;
-            break;
-          }
-          case Opcode::Xchg: {
-            std::uint64_t addr = regs[in.rs1];
-            std::uint64_t old = mem.read64(addr);
-            mem.write64(addr, regs[in.rs2]);
-            regs[in.rd] = old;
-            break;
-          }
-
-          case Opcode::Syscall:
-            // Unreachable in practice: ClsSyscall is always in the
-            // stop mask, so syscalls stop the block above.
-            last = StepKind::SyscallTrap;
-            goto out;
-
-          case Opcode::Halt:
-            tc.state = RunState::Exited;
-            tc.exitCode = regs[0];
-            ++n;
-            last = StepKind::Halted;
-            goto out;
-
-          default:
-            tc.state = RunState::Exited;
-            tc.exitCode = faultExitCode;
-            ++n;
-            last = StepKind::Fault;
-            goto out;
-        }
-
-        pc = next_pc;
-        ++n;
-    }
-
-out:
-    tc.pc = pc;
-    tc.retired += n;
-    return {n, last, boundary};
-}
-
-} // namespace
-
-#endif // DP_DISPATCH_THREADED
-
 const void *const *
 interpDispatchTable()
 {
-#if DP_DISPATCH_THREADED
     return threadedBlockRun(nullptr, nullptr, 0, 0, 0, nullptr, 0,
                             nullptr);
-#else
-    return nullptr;
-#endif
-}
-
-const char *
-Interpreter::dispatchKindName()
-{
-#if DP_DISPATCH_THREADED
-    return "threaded";
-#else
-    return "switch";
-#endif
 }
 
 Interpreter::BlockResult
@@ -593,15 +333,9 @@ Interpreter::runBlock(ThreadContext &tc, PagedMemory &mem,
     const std::uint8_t first_stop = lead ? ClsSyscall : stop;
 
     BlockResult out;
-#if DP_DISPATCH_THREADED
     threadedBlockRun(&tc, &mem, max_instrs, stop, first_stop,
                      dec.code.data(),
                      dec.code.size(), &out);
-#else
-    out = switchBlockRun(tc, mem, max_instrs, stop, first_stop,
-                         dec.code.data(),
-                         dec.code.size());
-#endif
     return out;
 }
 

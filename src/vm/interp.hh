@@ -17,12 +17,8 @@
  *    are built on this, so guest code does not pay one dispatch
  *    round-trip per instruction.
  *
- * Dispatch is computed-goto threaded code when DP_THREADED_DISPATCH
- * is on (the default; GNU-compatible compilers), and a portable
- * switch otherwise. Both variants execute identical semantics —
- * recordings, journals, and shipped batches are byte-identical
- * across them (pinned by the identity suites and the ci-speed CI
- * preset).
+ * Dispatch is computed-goto threaded code (a GNU extension; GCC and
+ * Clang both support it).
  */
 
 #ifndef DP_VM_INTERP_HH
@@ -112,9 +108,6 @@ class Interpreter
     BlockResult runBlock(ThreadContext &tc, PagedMemory &mem,
                          std::uint64_t max_instrs, std::uint8_t stop_mask,
                          bool lead = false) const;
-
-    /** "threaded" or "switch": the dispatch variant this build uses. */
-    static const char *dispatchKindName();
 
     /** Retire the trapped syscall: set the result and advance. */
     static void

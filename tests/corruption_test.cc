@@ -593,29 +593,47 @@ smallRecording()
 
 TEST(ShardedCorruption, BaseEpochNearTheTopOfTheRangeIsRefused)
 {
-    // baseEpoch 2^64-1 makes epoch-index arithmetic wrap: stream 0's
-    // first owned index wraps to 0, and a merge over the wrapped cut
-    // used to fabricate default-constructed epochs and call the set
-    // clean. The header decoder must refuse such a base outright.
+    // baseEpoch 2^64-1 once made epoch-index arithmetic wrap: stream
+    // 0's first owned index wrapped to 0, and a merge over the wrapped
+    // cut fabricated default-constructed epochs and called the set
+    // clean. No journal is ever truncated, so the header decoder
+    // refuses every non-zero base — small ones too. Recovery, the
+    // stream-set probe and a standby must all refuse it.
     Recording r = smallRecording();
-    const std::uint64_t base = ~std::uint64_t{0};
-    std::vector<std::vector<std::uint8_t>> images{
-        craftStream(r, 0, 2, base,
-                    {{0, 0}, {2, 1}, {4, 2}, {6, 3}, {8, 4}}),
-        craftStream(r, 1, 2, base, {})};
-    RecoveredShardedJournal rj = recoverShardedJournal(spansOf(images));
-    EXPECT_FALSE(rj.report.headerOk);
-    EXPECT_FALSE(rj.report.clean());
-    EXPECT_EQ(rj.report.framesRecovered, 0u);
-    EXPECT_EQ(rj.recording, nullptr);
-    EXPECT_TRUE(rj.tailEpochs.empty());
-    for (unsigned s = 0; s < 2; ++s) {
-        EXPECT_EQ(rj.streams[s].report.tailError,
-                  JournalError::BadPayload)
-            << "stream " << s;
-        EXPECT_EQ(rj.streams[s].keptBytes, 0u);
+    for (std::uint64_t base : {~std::uint64_t{0}, std::uint64_t{1},
+                               std::uint64_t{2}, std::uint64_t{4}}) {
+        std::vector<std::vector<std::uint8_t>> images{
+            craftStream(r, 0, 2, base,
+                        {{0, 0}, {2, 1}, {4, 2}, {6, 3}, {8, 4}}),
+            craftStream(r, 1, 2, base, {})};
+        RecoveredShardedJournal rj =
+            recoverShardedJournal(spansOf(images));
+        EXPECT_FALSE(rj.report.headerOk) << "base " << base;
+        EXPECT_FALSE(rj.report.clean()) << "base " << base;
+        EXPECT_EQ(rj.report.framesRecovered, 0u) << "base " << base;
+        EXPECT_EQ(rj.recording, nullptr) << "base " << base;
+        for (unsigned s = 0; s < 2; ++s) {
+            EXPECT_EQ(rj.streams[s].report.tailError,
+                      JournalError::BadPayload)
+                << "base " << base << ", stream " << s;
+            EXPECT_EQ(rj.streams[s].keptBytes, 0u)
+                << "base " << base << ", stream " << s;
+            EXPECT_FALSE(peekStreamInfo(images[s]).has_value())
+                << "base " << base << ", stream " << s;
+        }
+
+        StandbyApplier standby(StandbyOptions{});
+        ShipBatch b;
+        b.seq = 1;
+        b.stream = 0;
+        b.streamCount = 2;
+        b.bytes = images[0];
+        ShipAck ack = standby.receive(encodeShipBatch(b));
+        EXPECT_FALSE(ack.accepted) << "base " << base;
+        EXPECT_TRUE(ack.failedClosed) << "base " << base;
+        EXPECT_FALSE(standby.promote().report.promoted)
+            << "base " << base;
     }
-    EXPECT_FALSE(peekStreamInfo(images[0]).has_value());
 }
 
 TEST(ShardedCorruption, StreamIdentityBeyondThirtyTwoBitsIsRefused)

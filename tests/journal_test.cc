@@ -812,52 +812,6 @@ TEST(ShardedJournal, TornStreamTailAtSeededOffsetsResumesByteIdentical)
     }
 }
 
-TEST(ShardedJournal, TruncationDropsCoveredSegmentsAndKeepsTheTail)
-{
-    GuestProgram prog = testprogs::lockedCounter(2, 400);
-    RecorderOptions opts = testOpts();
-    UniparallelRecorder rec(prog, {}, opts);
-    RecordOutcome out = rec.record();
-    ASSERT_TRUE(out.ok);
-    const std::vector<EpochRecord> &epochs = out.recording.epochs;
-    const auto total = static_cast<std::uint64_t>(epochs.size());
-    ASSERT_GE(total, 5u);
-
-    ShardedJournalWriter jw(prog, {},
-                            recorderOptionsFingerprint(opts),
-                            {.streams = 2, .segmentEpochs = 2});
-    for (std::uint64_t i = 0; i < total; ++i)
-        jw.appendEpoch(epochs[i], static_cast<EpochId>(i));
-
-    // Epochs below 4 are covered by a durable checkpoint: both whole
-    // segments below it can go.
-    const std::size_t dropped = jw.truncateCoveredSegments(4);
-    EXPECT_GT(dropped, 0u);
-    EXPECT_EQ(jw.baseEpoch(), 4u);
-    // Appends continue against the advanced base... and recovery
-    // returns the tail epochs, not a whole Recording.
-    RecoveredShardedJournal rj =
-        recoverShardedJournal(spansOf(jw.imageSet()));
-    ASSERT_TRUE(rj.report.headerOk);
-    EXPECT_EQ(rj.baseEpoch, 4u);
-    EXPECT_EQ(rj.recording, nullptr);
-    EXPECT_EQ(rj.consistentEpochs, total);
-    ASSERT_EQ(rj.tailEpochs.size(), total - 4);
-    for (std::size_t i = 0; i < rj.tailEpochs.size(); ++i) {
-        const EpochRecord &got = rj.tailEpochs[i];
-        const EpochRecord &want = epochs[4 + i];
-        EXPECT_EQ(got.endStateHash, want.endStateHash) << i;
-        EXPECT_TRUE(got.schedule == want.schedule &&
-                    got.syscalls == want.syscalls)
-            << "tail epoch " << i << " decoded differently";
-    }
-
-    // A durable epoch mid-segment only drops the whole segments
-    // below it; nothing else moves.
-    EXPECT_EQ(jw.truncateCoveredSegments(5), 0u);
-    EXPECT_EQ(jw.baseEpoch(), 4u);
-}
-
 TEST(ShardedJournal, VersionTwoFixtureRecoversIdentically)
 {
     // Pinned bytes: a version-2 journal and the artifact its epochs

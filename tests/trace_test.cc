@@ -205,9 +205,7 @@ TEST_P(ByteIdentity, TracingChangesNothingUnderFaultPlan)
 // The fast-path identity matrix: every artifact the pipeline emits —
 // recording bytes, journal image, replay results, shipped wire
 // batches — must be byte-identical whichever CRC-32C backend computed
-// it, at every host-parallelism level. (The dispatch axis of the
-// matrix, threaded vs switch, is cross-build: the ci-speed CI preset
-// runs this same suite with both fast paths forced off.)
+// it, at every host-parallelism level.
 TEST_P(ByteIdentity, CrcBackendChangesNoArtifactBytes)
 {
     RunConfig rc;

@@ -394,17 +394,6 @@ TEST(Interp, CodeEditAfterInvalidateIsPickedUp)
     EXPECT_EQ(m3.threads[0].exitCode, 13u);
 }
 
-TEST(Interp, DispatchKindMatchesBuildConfiguration)
-{
-#ifdef DP_THREADED_DISPATCH
-    EXPECT_STREQ(Interpreter::dispatchKindName(), "threaded");
-    EXPECT_NE(interpDispatchTable(), nullptr);
-#else
-    EXPECT_STREQ(Interpreter::dispatchKindName(), "switch");
-    EXPECT_EQ(interpDispatchTable(), nullptr);
-#endif
-}
-
 TEST(Assembler, ForwardAndBackwardLabels)
 {
     Assembler a;

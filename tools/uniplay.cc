@@ -335,11 +335,6 @@ doRecord(const GuestProgram &prog, const MachineConfig &cfg,
             dp_fatal(args.journalFile, ": cannot recover journal: ",
                      journalErrorName(rj.report.tailError), " (",
                      rj.report.detail, ")");
-        if (!rj.recording)
-            dp_fatal(args.journalFile, ": journal base epoch is ",
-                     rj.baseEpoch,
-                     "; a truncated journal cannot seed a resume "
-                     "without its covering checkpoint");
         if (rj.optionsFingerprint != fingerprint)
             dp_fatal(args.journalFile,
                      ": journal was recorded under different "
@@ -542,9 +537,6 @@ cmdShip(const Args &args)
         dp_fatal(args.journalFile, ": cannot recover journal: ",
                  journalErrorName(rj.report.tailError), " (",
                  rj.report.detail, ")");
-    if (!rj.recording)
-        dp_fatal(args.journalFile, ": journal base epoch is ",
-                 rj.baseEpoch, "; cannot ship a truncated journal");
 
     std::unique_ptr<FaultInjector> faults;
     if (!args.faultPlan.empty()) {
@@ -697,9 +689,6 @@ cmdRecover(const Args &args)
         std::cout << "streams:   " << rj.streamCount
                   << " (consistent cut at epoch "
                   << rj.consistentEpochs << ")\n";
-    if (rj.baseEpoch > 0)
-        std::cout << "base:      epoch " << rj.baseEpoch
-                  << " (earlier segments truncated)\n";
     std::cout << "frames:    " << rep.framesRecovered
               << " committed epoch(s)\n"
               << "committed: " << rep.committedBytes << " bytes\n"
@@ -723,11 +712,6 @@ cmdRecover(const Args &args)
         return 1;
     }
     if (!args.outFile.empty()) {
-        if (!rj.recording)
-            dp_fatal(args.positional[0], ": journal base epoch is ",
-                     rj.baseEpoch,
-                     "; a truncated journal cannot serialize a "
-                     "whole recording");
         std::vector<std::uint8_t> bytes =
             serializeRecording(*rj.recording);
         writeFile(args.outFile, bytes);
@@ -849,10 +833,6 @@ cmdStats(const Args &args)
             dp_fatal(args.positional[0],
                      ": cannot recover journal: ",
                      journalErrorName(rj.report.tailError));
-        if (!rj.recording)
-            dp_fatal(args.positional[0], ": journal base epoch is ",
-                     rj.baseEpoch,
-                     "; stats need the full epoch history");
         rec = std::move(rj.recording);
     } else {
         dp_fatal(args.positional[0],
