@@ -163,7 +163,7 @@ runNativeBaseline(const GuestProgram &prog, const MachineConfig &cfg,
     if (!m.threads.empty())
         res.exitCode = m.threads[0].exitCode;
     res.residentPages = m.mem.residentPages();
-    res.stdoutLen = m.stdoutBytes().size();
+    res.stdoutLen = m.stdoutSize();
     res.threadsPeak = static_cast<std::uint32_t>(m.threads.size());
     return res;
 }

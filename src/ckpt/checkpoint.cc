@@ -32,7 +32,7 @@ Machine
 Checkpoint::materialize(const GuestProgram &prog,
                         const MachineConfig &cfg) const
 {
-    Machine m(prog, cfg);
+    Machine m(Machine::RestoreOnly{}, prog, cfg);
     restoreInto(m);
     return m;
 }

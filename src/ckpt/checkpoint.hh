@@ -52,7 +52,9 @@ class Checkpoint
         return stateHash_ == m.stateHash();
     }
 
-    /** Build a fresh Machine running this state. */
+    /** Build a fresh Machine running this state. Restore-only: the
+     *  program image and @p cfg's initial files are never booted,
+     *  since this state replaces both. */
     Machine materialize(const GuestProgram &prog,
                         const MachineConfig &cfg) const;
 

@@ -14,6 +14,19 @@
 #include <cstdint>
 #include <span>
 
+/**
+ * DP_DIGEST_CHECK: cross-check every incremental digest (the memory
+ * page table, guest files) against a from-scratch recompute at each
+ * query. O(resident state) per query, so debug and sanitizer builds
+ * only (the ci-asan preset turns it on); release builds keep the
+ * O(dirty) fast paths unchecked.
+ */
+#if defined(DP_DIGEST_CHECK) || !defined(NDEBUG)
+#define DP_DIGEST_CHECK_ENABLED 1
+#else
+#define DP_DIGEST_CHECK_ENABLED 0
+#endif
+
 namespace dp
 {
 

@@ -502,7 +502,7 @@ UniparallelRecorder::runPipeline(RecordOutcome &out, Executor &exec,
         record.signals = std::move(er.signals);
         record.endStateHash = er.endStateHash;
         record.targets = std::move(tp.targets);
-        record.stdoutLen = er.end.stdoutBytes().size();
+        record.stdoutLen = er.end.stdoutSize();
         record.diverged = diverged;
         record.tpCycles = tp.tpCycles;
         record.ckptCycles = tp.ckptCost;

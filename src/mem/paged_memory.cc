@@ -5,18 +5,6 @@
 #include "common/hash.hh"
 #include "common/logging.hh"
 
-/**
- * DP_DIGEST_CHECK: cross-check the incremental table digest against a
- * from-scratch recompute at every fold. O(resident pages) per digest
- * query — debug/sanitizer builds only (the ci-asan preset turns it
- * on); release builds keep the O(dirty) fast path unchecked.
- */
-#if defined(DP_DIGEST_CHECK) || !defined(NDEBUG)
-#define DP_DIGEST_CHECK_ENABLED 1
-#else
-#define DP_DIGEST_CHECK_ENABLED 0
-#endif
-
 namespace dp
 {
 

@@ -13,10 +13,8 @@ Machine::Machine(const GuestProgram &prog, MachineConfig cfg)
     prog.loadInto(mem);
     mem.clearDirty();
 
-    for (const auto &[path, content] : cfg_.initialFiles) {
-        std::uint32_t id = os.ensureFile(path);
-        os.writableFile(id) = content;
-    }
+    for (const auto &[path, content] : cfg_.initialFiles)
+        os.files[os.ensureFile(path)] = ChunkedFile(content);
 
     // fd 0 is a read-only empty null device (no stdin model); fd 1/2
     // are append-only sinks. Backing all three with real files keeps
@@ -66,14 +64,24 @@ Machine::stateHash() const
     return d.value();
 }
 
-const std::vector<std::uint8_t> &
-Machine::stdoutBytes() const
+std::uint32_t
+Machine::stdoutFile() const
 {
     auto it = os.nameToFile.find("<stdout>");
     dp_assert(it != os.nameToFile.end(), "stdout sink missing");
-    static const std::vector<std::uint8_t> empty;
-    const FileContent &c = os.files[it->second];
-    return c ? *c : empty;
+    return it->second;
+}
+
+std::vector<std::uint8_t>
+Machine::stdoutBytes() const
+{
+    return os.files[stdoutFile()].bytes();
+}
+
+std::uint64_t
+Machine::stdoutSize() const
+{
+    return os.fileSize(stdoutFile());
 }
 
 std::uint64_t

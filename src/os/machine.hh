@@ -27,6 +27,8 @@
 namespace dp
 {
 
+class Checkpoint;
+
 /** Boot-time configuration (not part of mutable state; never hashed). */
 struct MachineConfig
 {
@@ -80,13 +82,37 @@ class Machine
     /** Digest over memory + thread contexts + OS state (not `now`). */
     std::uint64_t stateHash() const;
 
-    /** Bytes written so far to the stdout sink. */
-    const std::vector<std::uint8_t> &stdoutBytes() const;
+    /** Bytes written so far to the stdout sink, gathered from its
+     *  chunks; O(length). Callers that only need the count use
+     *  stdoutSize(). */
+    std::vector<std::uint8_t> stdoutBytes() const;
+
+    /** Number of bytes written so far to the stdout sink. */
+    std::uint64_t stdoutSize() const;
 
     /** Sum of retired instruction counts over all threads. */
     std::uint64_t totalRetired() const;
 
   private:
+    friend class Checkpoint;
+
+    /** Selects the restore-only constructor. */
+    struct RestoreOnly
+    {
+    };
+
+    /** A machine bound to @p prog and @p cfg with nothing booted: no
+     *  program image, no files, no threads. Checkpoint::materialize
+     *  fills every part through restoreInto, so booting first would
+     *  only be overwritten. */
+    Machine(RestoreOnly, const GuestProgram &prog, MachineConfig cfg)
+        : prog_(&prog), cfg_(std::move(cfg))
+    {
+    }
+
+    /** Id of the stdout sink's file. */
+    std::uint32_t stdoutFile() const;
+
     const GuestProgram *prog_;
     MachineConfig cfg_;
 };

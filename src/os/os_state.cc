@@ -9,18 +9,32 @@ namespace dp
 std::uint64_t
 OsState::hash() const
 {
+    const std::uint64_t h = digest(false);
+#if DP_DIGEST_CHECK_ENABLED
+    dp_assert(h == digest(true),
+              "incremental file digests diverged from the from-scratch "
+              "recompute");
+#endif
+    return h;
+}
+
+std::uint64_t
+OsState::referenceHash() const
+{
+    return digest(true);
+}
+
+std::uint64_t
+OsState::digest(bool reference) const
+{
     Digest d;
     for (const auto &[name, id] : nameToFile) {
         d.bytes({reinterpret_cast<const std::uint8_t *>(name.data()),
                  name.size()});
         d.word(id);
     }
-    for (const auto &content : files) {
-        if (content)
-            d.bytes(*content);
-        else
-            d.word(0);
-    }
+    for (const ChunkedFile &f : files)
+        d.word(reference ? f.referenceDigest() : f.digest());
     for (const auto &fd : fds) {
         d.word(static_cast<std::uint64_t>(fd.fileId));
         d.word(fd.offset);
@@ -71,16 +85,11 @@ OsState::hash() const
     return d.value();
 }
 
-std::vector<std::uint8_t> &
-OsState::writableFile(std::uint32_t file_id)
+std::uint64_t
+OsState::fileSize(std::uint32_t file_id) const
 {
     dp_assert(file_id < files.size(), "bad file id ", file_id);
-    FileContent &slot = files[file_id];
-    if (!slot)
-        slot = std::make_shared<std::vector<std::uint8_t>>();
-    else if (slot.use_count() > 1)
-        slot = std::make_shared<std::vector<std::uint8_t>>(*slot);
-    return *slot;
+    return files[file_id].size();
 }
 
 std::uint32_t
@@ -90,7 +99,7 @@ OsState::ensureFile(const std::string &name)
     if (it != nameToFile.end())
         return it->second;
     auto id = static_cast<std::uint32_t>(files.size());
-    files.push_back(std::make_shared<std::vector<std::uint8_t>>());
+    files.emplace_back();
     nameToFile.emplace(name, id);
     return id;
 }

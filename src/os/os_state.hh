@@ -4,8 +4,9 @@
  *
  * Everything the guest-visible OS remembers lives in this struct so a
  * checkpoint is a plain copy and divergence detection can hash it. File
- * contents use shared_ptr copy-on-write like memory pages, so copies
- * are cheap and epochs that merely read files share one buffer.
+ * contents are ChunkedFiles: copies share 4 KiB chunks copy-on-write
+ * like memory pages, a write clones only the chunks it touches, and
+ * each file keeps an incremental digest (os/chunked_file.hh).
  */
 
 #ifndef DP_OS_OS_STATE_HH
@@ -14,20 +15,14 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/types.hh"
+#include "os/chunked_file.hh"
 
 namespace dp
 {
-
-/**
- * Shared, copy-on-write file content buffer. Never written in place
- * while shared (use_count > 1); OsState::writableFile clones first.
- */
-using FileContent = std::shared_ptr<std::vector<std::uint8_t>>;
 
 /** One open file description. */
 struct FileDesc
@@ -66,7 +61,7 @@ struct OsState
     /// @name File system
     /// @{
     std::map<std::string, std::uint32_t> nameToFile;
-    std::vector<FileContent> files;
+    std::vector<ChunkedFile> files;
     std::vector<FileDesc> fds;
     /// @}
 
@@ -86,17 +81,28 @@ struct OsState
     ThreadId nextTid = 1;
     /// @}
 
-    /** Digest of the whole OS state (for divergence detection). */
+    /**
+     * Digest of the whole OS state (for divergence detection). Files
+     * enter through their incremental digests, so this costs
+     * O(chunks written since the last query) plus the non-file state.
+     */
     std::uint64_t hash() const;
 
-    /** Mutable access to a file's bytes, cloning if shared (CoW). */
-    std::vector<std::uint8_t> &writableFile(std::uint32_t file_id);
+    /** hash() with every file digest recomputed from its bytes: the
+     *  DP_DIGEST_CHECK oracle. */
+    std::uint64_t referenceHash() const;
+
+    /** Length in bytes of file @p file_id. */
+    std::uint64_t fileSize(std::uint32_t file_id) const;
 
     /** Look up or create a file; returns its id. */
     std::uint32_t ensureFile(const std::string &name);
 
     /** Allocate a descriptor slot. */
     std::uint64_t allocFd(FileDesc desc);
+
+  private:
+    std::uint64_t digest(bool reference) const;
 };
 
 } // namespace dp

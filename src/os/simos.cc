@@ -339,15 +339,13 @@ SimOS::doWrite(Machine &m, std::uint64_t fd, Addr buf, std::uint64_t len)
         return errResult;
     len = std::min(len, maxTransfer);
     FileDesc &desc = m.os.fds[fd];
+    ChunkedFile &file = m.os.files[desc.fileId];
+    const std::uint64_t pos = desc.appendOnly ? file.size() : desc.offset;
+    if (pos > ChunkedFile::maxBytes - len)
+        return errResult; // would grow the file past its size limit
     std::vector<std::uint8_t> data(len);
     m.mem.readBytes(buf, data);
-
-    auto &content =
-        m.os.writableFile(static_cast<std::uint32_t>(desc.fileId));
-    std::uint64_t pos = desc.appendOnly ? content.size() : desc.offset;
-    if (content.size() < pos + len)
-        content.resize(pos + len);
-    std::copy(data.begin(), data.end(), content.begin() + pos);
+    file.write(pos, data);
     if (!desc.appendOnly)
         desc.offset += len;
     return len;
@@ -360,22 +358,20 @@ SimOS::doRead(Machine &m, std::uint64_t fd, Addr buf, std::uint64_t len)
         return errResult;
     len = std::min(len, maxTransfer);
     FileDesc &desc = m.os.fds[fd];
-    const FileContent &content = m.os.files[desc.fileId];
-    if (!content)
-        return 0;
-    if (desc.offset >= content->size())
+    const ChunkedFile &file = m.os.files[desc.fileId];
+    if (desc.offset >= file.size())
         return 0;
     std::uint64_t n = std::min<std::uint64_t>(len,
-                                              content->size() -
-                                                  desc.offset);
+                                              file.size() - desc.offset);
     // A short read in the result-generating (thread-parallel) kernel
     // only: the epoch-parallel run re-executes the full read, so the
     // states disagree at the epoch boundary and the recorder must
     // roll back onto the epoch-parallel truth.
     if (n > 1 && faultFires(FaultSite::FileShortRead))
         n /= 2;
-    m.mem.writeBytes(buf, {content->data() + desc.offset,
-                           static_cast<std::size_t>(n)});
+    std::vector<std::uint8_t> data(n);
+    file.read(desc.offset, data);
+    m.mem.writeBytes(buf, data);
     desc.offset += n;
     return n;
 }

@@ -330,7 +330,8 @@ Interpreter::runBlock(ThreadContext &tc, PagedMemory &mem,
     const DecodedProgram &dec = ensureDecoded();
     // Syscalls always stop a block: only the OS can complete them.
     const std::uint8_t stop = stop_mask | ClsSyscall;
-    const std::uint8_t first_stop = lead ? ClsSyscall : stop;
+    const std::uint8_t first_stop =
+        lead ? std::uint8_t{ClsSyscall} : stop;
 
     BlockResult out;
     threadedBlockRun(&tc, &mem, max_instrs, stop, first_stop,

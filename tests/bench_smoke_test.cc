@@ -57,12 +57,14 @@ loadBenchJson(const std::string &path, const std::string &bench)
 
     const JsonValue *schema = doc->find("schema");
     EXPECT_NE(schema, nullptr);
-    if (schema)
+    if (schema) {
         EXPECT_EQ(schema->asString(), "dp-bench-v1");
+    }
     const JsonValue *name = doc->find("bench");
     EXPECT_NE(name, nullptr);
-    if (name)
+    if (name) {
         EXPECT_EQ(name->asString(), bench);
+    }
 
     const JsonValue *rows = doc->find("rows");
     EXPECT_NE(rows, nullptr);

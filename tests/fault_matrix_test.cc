@@ -150,7 +150,7 @@ recordUnderFaults(const Session &s, const FaultCase &fc,
     };
 
     UniparallelRecorder rec(s.prog, s.cfg, opts);
-    RecordedRun run{rec.record(&obs)};
+    RecordedRun run{rec.record(&obs), {}, {}, {}};
     run.recoveries = std::move(recoveries);
     run.faultEvents = inj.events();
     if (run.out.ok)
