@@ -12,7 +12,9 @@
  * divergence squash cancels queued-but-unstarted epochs instead of
  * executing them), exceptions propagate through get(), and the
  * destructor deterministically drains the queue and joins every
- * worker before returning.
+ * worker before returning. Executor::Strand layers the one
+ * order-keeping serial consumer on top (journal commits, standby
+ * applies).
  *
  * Determinism contract: the executor schedules host work only; it
  * never touches virtual time, recorded bytes, or fault decisions.
@@ -299,6 +301,8 @@ class Executor
     }
 
   public:
+    template <typename T> class Strand;
+
     explicit Executor(unsigned workers, ExecutorOptions opts = {});
     Executor(const Executor &) = delete;
     Executor &operator=(const Executor &) = delete;
@@ -392,6 +396,97 @@ class Executor
     bool stop_ = false;
     ExecutorStats stats_;
     std::vector<std::thread> threads_;
+};
+
+/**
+ * A typed FIFO that one handler consumes on an Executor, at most one
+ * call at a time: the order-keeping serial consumer behind a journal
+ * stream's commits and the standby's applies. It owns no thread: a
+ * post() that finds it idle submits one step, which handles the
+ * queued items in post order until the queue is empty.
+ *
+ * With capacity > 0, post() blocks while that many items wait (the
+ * one being handled does not count). On an inline pool, a post() to
+ * an idle strand handles the item on the caller's thread before it
+ * returns. discard() drops the queued items; a call in flight
+ * completes. Destruction drains, so every posted item has run. The
+ * pool must outlive the strand; destroying the pool first also runs
+ * every queued item, and the strand then takes no further post().
+ * The handler must not throw.
+ */
+template <typename T> class Executor::Strand
+{
+  public:
+    using Handler = std::function<void(T &)>;
+
+    /** @p label names each step's pool task (a static string). */
+    Strand(Executor &pool, Handler handler, std::size_t capacity = 0,
+           const char *label = "strand")
+        : pool_(pool), handler_(std::move(handler)),
+          capacity_(capacity), label_(label)
+    {}
+    Strand(const Strand &) = delete;
+    Strand &operator=(const Strand &) = delete;
+    ~Strand() { drain(); }
+
+    /** Queue @p item, blocking while the queue is at capacity. */
+    void
+    post(T item)
+    {
+        std::unique_lock<std::mutex> lock(mu_);
+        room_.wait(lock, [&] {
+            return !capacity_ || queue_.size() < capacity_;
+        });
+        queue_.push_back(std::move(item));
+        if (std::exchange(running_, true))
+            return;
+        lock.unlock();
+        pool_.submit([this] { run(); }, {.label = label_});
+    }
+
+    /** Block until the queue is empty and no handler call runs. */
+    void
+    drain() const
+    {
+        std::unique_lock<std::mutex> lock(mu_);
+        idle_.wait(lock, [&] { return !running_; });
+    }
+
+    /** Drop every queued item unrun. */
+    void
+    discard()
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        queue_.clear();
+        room_.notify_all();
+    }
+
+  private:
+    /** One step: handle items until the queue runs dry. */
+    void
+    run() noexcept
+    {
+        std::unique_lock<std::mutex> lock(mu_);
+        while (!queue_.empty()) {
+            T item = std::move(queue_.front());
+            queue_.pop_front();
+            room_.notify_all();
+            lock.unlock();
+            handler_(item);
+            lock.lock();
+        }
+        running_ = false;
+        idle_.notify_all();
+    }
+
+    Executor &pool_;
+    const Handler handler_;
+    const std::size_t capacity_;
+    const char *const label_;
+    mutable std::mutex mu_;
+    mutable std::condition_variable room_, idle_;
+    std::deque<T> queue_;
+    bool running_ = false; ///< a step is queued or running
 };
 
 } // namespace dp

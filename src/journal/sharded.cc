@@ -258,6 +258,7 @@ ShardedJournalWriter::ShardedJournalWriter(
     shards_.resize(streams_);
     for (unsigned s = 0; s < streams_; ++s)
         startStream(s);
+    startCommitters(0);
 }
 
 ShardedJournalWriter::ShardedJournalWriter(
@@ -313,22 +314,17 @@ ShardedJournalWriter::ShardedJournalWriter(
         next = s == 0 ? missing : std::min(next, missing);
     }
     nextIndex_ = next;
+    startCommitters(0);
 }
 
 ShardedJournalWriter::~ShardedJournalWriter()
 {
-    // Drain and join the strands before the files close: every append
-    // handed off before destruction lands on disk.
-    pool_.reset();
+    // Every append handed off before destruction lands on disk before
+    // the files close.
+    flush();
     for (Stream &st : shards_)
         if (st.file)
             std::fclose(st.file);
-}
-
-std::uint64_t
-ShardedJournalWriter::seqOf(std::uint64_t index) const
-{
-    return index / streams_;
 }
 
 void
@@ -350,19 +346,29 @@ ShardedJournalWriter::streamPath(const std::string &base, unsigned s,
 }
 
 void
+ShardedJournalWriter::startCommitters(unsigned workers)
+{
+    // Same-stream commits stay FIFO (the crash guarantee is per
+    // stream); different streams overlap, which is the
+    // commit-throughput scaling. Capacity 2 double-buffers each
+    // stream. A strand queues at most one step, so the pool's queue
+    // never blocks. The pool is untraced: journal-append spans cover
+    // the work.
+    committers_.clear();
+    pool_ = std::make_unique<Executor>(
+        workers, ExecutorOptions{.queueCapacity = streams_});
+    for (unsigned s = 0; s < streams_; ++s)
+        committers_.emplace_back(
+            *pool_,
+            [this, s](auto &a) { commitToStream(s, a.first, a.second); },
+            2, "journal-commit");
+}
+
+void
 ShardedJournalWriter::enableAsyncCommit()
 {
-    if (pool_)
-        return;
-    // One strand per stream on a shared pool: same-stream commits
-    // stay FIFO (the crash guarantee is per stream), different
-    // streams overlap — that overlap is the commit-throughput
-    // scaling. At most one drain task per stream is ever queued, so
-    // capacity == streams_ means submit() never blocks. The pool is
-    // deliberately untraced: journal-append spans already cover the
-    // work.
-    pool_ = std::make_unique<Executor>(
-        streams_, ExecutorOptions{.queueCapacity = streams_});
+    if (pool_->workerCount() == 0)
+        startCommitters(streams_);
 }
 
 void
@@ -371,42 +377,8 @@ ShardedJournalWriter::appendEpoch(const EpochRecord &e, EpochId index)
     dp_assert(index == nextIndex_,
               "journal epochs must append in commit order");
     ++nextIndex_;
-    const unsigned s = static_cast<unsigned>(index % streams_);
-    if (!pool_) {
-        commitToStream(s, e, index);
-        return;
-    }
-    std::unique_lock<std::mutex> lock(mu_);
-    // A bounded double-buffer per stream: one epoch committing, one
-    // queued, then the producer back-pressures.
-    room_.wait(lock,
-               [&] { return shards_[s].pending.size() < 2; });
-    shards_[s].pending.emplace_back(e, index);
-    if (!shards_[s].running) {
-        shards_[s].running = true;
-        lock.unlock();
-        pool_->submit([this, s] { drainStream(s); },
-                      {.label = "journal-commit"});
-    }
-}
-
-void
-ShardedJournalWriter::drainStream(unsigned s)
-{
-    Stream &st = shards_[s];
-    for (;;) {
-        std::unique_lock<std::mutex> lock(mu_);
-        if (st.pending.empty()) {
-            st.running = false;
-            idle_.notify_all();
-            return;
-        }
-        auto [e, index] = std::move(st.pending.front());
-        st.pending.pop_front();
-        room_.notify_all();
-        lock.unlock();
-        commitToStream(s, e, index);
-    }
+    committers_[static_cast<std::size_t>(index % streams_)].post(
+        {e, index});
 }
 
 void
@@ -416,7 +388,7 @@ ShardedJournalWriter::commitToStream(unsigned s, const EpochRecord &e,
     Stream &st = shards_[s];
     if (!st.aliveFlag)
         return;
-    const std::uint64_t seq = seqOf(index);
+    const std::uint64_t seq = index / streams_; // per-stream sequence
     dp_assert(seq == st.nextSeq,
               "stream epochs must append in sequence order");
     ScopedTraceSpan span(trace_, TraceStage::Journal, s,
@@ -472,15 +444,8 @@ ShardedJournalWriter::commitToStream(unsigned s, const EpochRecord &e,
 void
 ShardedJournalWriter::flush() const
 {
-    if (!pool_)
-        return;
-    std::unique_lock<std::mutex> lock(mu_);
-    idle_.wait(lock, [&] {
-        for (const Stream &st : shards_)
-            if (st.running || !st.pending.empty())
-                return false;
-        return true;
-    });
+    for (const Committer &c : committers_)
+        c.drain();
 }
 
 bool
@@ -498,12 +463,6 @@ ShardedJournalWriter::streamAlive(unsigned s) const
 {
     flush();
     return shards_[s].aliveFlag;
-}
-
-std::uint64_t
-ShardedJournalWriter::epochsWritten() const
-{
-    return nextIndex_;
 }
 
 const std::vector<std::uint8_t> &

@@ -43,12 +43,10 @@
 #ifndef DP_JOURNAL_SHARDED_HH
 #define DP_JOURNAL_SHARDED_HH
 
-#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <deque>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -78,11 +76,12 @@ struct ShardedJournalOptions
  * (rollbacks squash only speculation), so every frame written is
  * permanent.
  *
- * enableAsyncCommit() runs one committer strand per stream on a
- * shared Executor: commits to the same stream stay FIFO (the crash
- * guarantee), different streams commit concurrently — this is where
- * the commit-throughput scaling comes from. Stream bytes are
- * identical between synchronous and asynchronous modes.
+ * Each stream commits through its own Executor::Strand, so commits
+ * to one stream stay FIFO (the crash guarantee). The strands start on
+ * an inline pool, where appendEpoch() commits before it returns;
+ * enableAsyncCommit() moves them to a pool of N workers, where
+ * different streams commit concurrently (the commit-throughput
+ * scaling). Stream bytes are identical in both modes.
  *
  * The writer doubles as the crash surface for the fault matrix: at
  * each append it consults its fault sites (scope = epoch index) and
@@ -129,8 +128,8 @@ class ShardedJournalWriter
      *  them (its siblings are unaffected). */
     void appendEpoch(const EpochRecord &e, EpochId index);
 
-    /** Switch to one committer strand per stream on a shared pool.
-     *  Call before the first append; idempotent. */
+    /** Move the committer strands onto a pool of N workers. Call
+     *  before the first append; idempotent. */
     void enableAsyncCommit();
 
     /** Block until every handed-off append has committed (and
@@ -147,7 +146,7 @@ class ShardedJournalWriter
 
     /** Epoch frames handed to the writer (== the next global epoch
      *  index to append). */
-    std::uint64_t epochsWritten() const;
+    std::uint64_t epochsWritten() const { return nextIndex_; }
 
     /** Stream @p s's image as it exists on "disk", damage included. */
     const std::vector<std::uint8_t> &streamBytes(unsigned s) const;
@@ -185,19 +184,16 @@ class ShardedJournalWriter
         bool aliveFlag = true;
         std::FILE *file = nullptr;
         std::size_t flushed = 0;
-        /** Strand state (async mode): queued appends + whether a
-         *  drain task is in flight. */
-        std::deque<std::pair<EpochRecord, EpochId>> pending;
-        bool running = false;
     };
 
-    /** Per-stream sequence number owning epoch @p index. */
-    std::uint64_t seqOf(std::uint64_t index) const;
+    using Committer = Executor::Strand<std::pair<EpochRecord, EpochId>>;
+
     /** Reset stream @p s to a header-only image. */
     void startStream(unsigned s);
+    /** Rebuild the committers on a fresh pool of @p workers. */
+    void startCommitters(unsigned workers);
     void commitToStream(unsigned s, const EpochRecord &e,
                         EpochId index);
-    void drainStream(unsigned s);
     void flushTail(Stream &st);
 
     unsigned streams_ = 1;
@@ -210,10 +206,11 @@ class ShardedJournalWriter
     std::optional<MachineConfig> cfg_;
     std::uint64_t fingerprint_ = 0;
     std::vector<Stream> shards_;
+    /** The committers' pool: inline (commits run inside appendEpoch)
+     *  until enableAsyncCommit(). */
     std::unique_ptr<Executor> pool_;
-    mutable std::mutex mu_;
-    mutable std::condition_variable room_; ///< strand back-pressure
-    mutable std::condition_variable idle_; ///< flush() waits here
+    /** One committer per stream, destroyed before the pool. */
+    std::deque<Committer> committers_;
 };
 
 /** One stream's contribution to a sharded recovery. */

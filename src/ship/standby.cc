@@ -31,21 +31,13 @@ FailoverReport::describe() const
 }
 
 StandbyApplier::StandbyApplier(StandbyOptions opts)
-    : opts_(opts)
-{
-    if (opts_.pool) {
-        pool_ = opts_.pool;
-    } else {
-        ownPool_ = std::make_unique<Executor>(opts_.applyWorkers);
-        pool_ = ownPool_.get();
-    }
-}
-
-StandbyApplier::~StandbyApplier()
-{
-    std::unique_lock<std::mutex> lock(mu_);
-    waitForStrandIdleLocked(lock);
-}
+    : opts_(opts),
+      ownPool_(opts.pool ? nullptr
+                         : std::make_unique<Executor>(opts.applyWorkers)),
+      applies_(opts.pool ? *opts.pool : *ownPool_,
+               [this](EpochRecord &e) { applyOne(e); }, 0,
+               "standby-apply")
+{}
 
 ShipAck
 StandbyApplier::ackLocked(std::uint64_t seq, bool accepted) const
@@ -77,13 +69,6 @@ StandbyApplier::failLocked(std::string reason)
     failReason_ = std::move(reason);
     dp_warn("standby failed closed: ", failReason_);
     lagCv_.notify_all();
-}
-
-void
-StandbyApplier::configureLocked(std::uint32_t stream_count)
-{
-    configured_ = true;
-    streams_.resize(stream_count);
 }
 
 void
@@ -169,74 +154,59 @@ StandbyApplier::ingestLocked(unsigned s)
 }
 
 void
-StandbyApplier::advanceContiguousLocked()
+StandbyApplier::persistContiguousLocked(
+    std::unique_lock<std::mutex> &lock)
 {
+    std::vector<EpochRecord> ready;
     for (auto it = parsed_.find(nextPersist_); it != parsed_.end();
          it = parsed_.find(nextPersist_)) {
-        applyQueue_.push_back(std::move(it->second));
+        ready.push_back(std::move(it->second));
         parsed_.erase(it);
         ++nextPersist_;
     }
     stats_.maxLag = std::max(stats_.maxLag, lagLocked());
-}
-
-void
-StandbyApplier::waitForStrandIdleLocked(
-    std::unique_lock<std::mutex> &lock)
-{
-    idleCv_.wait(lock, [&] { return !strandRunning_; });
-}
-
-void
-StandbyApplier::scheduleDrain(std::unique_lock<std::mutex> &lock)
-{
-    if (strandRunning_ || applyQueue_.empty() || failed_ ||
-        !replica_)
+    if (ready.empty())
         return;
-    strandRunning_ = true;
+    // Batches arrive one at a time from the link, so posting after
+    // the unlock keeps persisted order.
     lock.unlock();
-    pool_->submit([this] { drainApplies(); },
-                  {.label = "standby-apply"});
+    for (EpochRecord &e : ready)
+        applies_.post(std::move(e));
     lock.lock();
 }
 
 void
-StandbyApplier::drainApplies()
+StandbyApplier::applyOne(EpochRecord &e)
 {
     std::unique_lock<std::mutex> lock(mu_);
-    for (;;) {
-        if (applyQueue_.empty() || failed_ || !replica_) {
-            strandRunning_ = false;
-            idleCv_.notify_all();
-            lagCv_.notify_all();
-            return;
-        }
-        EpochRecord e = std::move(applyQueue_.front());
-        applyQueue_.pop_front();
-        LiveReplica *replica = replica_.get();
-        lock.unlock();
-        std::optional<ApplyError> err = replica->apply(e);
-        lock.lock();
-        if (err) {
-            applyError_ = err;
-            failLocked("apply: " + err->describe());
-        } else {
-            ++replayed_;
-        }
-        lagCv_.notify_all();
+    // A failed or promoted standby drops what is still queued.
+    if (failed_ || !replica_)
+        return;
+    LiveReplica *replica = replica_.get();
+    lock.unlock();
+    std::optional<ApplyError> err = replica->apply(e);
+    lock.lock();
+    if (err) {
+        applyError_ = err;
+        failLocked("apply: " + err->describe());
+    } else {
+        ++replayed_;
     }
+    lagCv_.notify_all();
 }
 
 void
 StandbyApplier::crashLocked(std::unique_lock<std::mutex> &lock)
 {
-    // The process dies: wait out the in-flight apply (its effect is
-    // discarded with the replica below), then lose everything
-    // volatile. Only the persisted images survive.
-    waitForStrandIdleLocked(lock);
+    // The process dies: the queued applies are lost, and the one in
+    // flight is waited out (its effect is discarded with the replica
+    // below). Only the persisted images survive.
+    applies_.discard();
+    lock.unlock();
+    applies_.drain();
+    lock.lock();
     ++stats_.crashes;
     parsed_.clear();
-    applyQueue_.clear();
     replica_.reset();
     prog_.reset();
     headerSuffix_.clear();
@@ -263,7 +233,7 @@ StandbyApplier::crashLocked(std::unique_lock<std::mutex> &lock)
         if (failed_)
             return;
     }
-    advanceContiguousLocked();
+    persistContiguousLocked(lock);
 }
 
 ShipAck
@@ -283,11 +253,10 @@ StandbyApplier::receive(std::span<const std::uint8_t> wire)
     if (opts_.faults &&
         opts_.faults->fire(FaultSite::StandbyCrash, b->seq)) {
         crashLocked(lock);
-        scheduleDrain(lock);
         return ackLocked(b->seq, false);
     }
 
-    if (!configured_) {
+    if (streams_.empty()) {
         if (b->streamCount == 0)
             return ackLocked(b->seq, false);
         if (b->streamCount > maxJournalStreams) {
@@ -299,7 +268,7 @@ StandbyApplier::receive(std::span<const std::uint8_t> wire)
                        " are supported");
             return ackLocked(b->seq, false);
         }
-        configureLocked(b->streamCount);
+        streams_.resize(b->streamCount);
     } else if (b->streamCount != streams_.size()) {
         failLocked("stream count changed mid-ship: " +
                    std::to_string(b->streamCount) + " after " +
@@ -330,9 +299,8 @@ StandbyApplier::receive(std::span<const std::uint8_t> wire)
     ingestLocked(b->stream);
     if (failed_)
         return ackLocked(b->seq, false);
-    advanceContiguousLocked();
     ++stats_.batchesAccepted;
-    scheduleDrain(lock);
+    persistContiguousLocked(lock);
 
     // Bounded lag: hold the ack (and so the primary) while the
     // replica is too far behind what we just persisted.
@@ -366,24 +334,6 @@ StandbyApplier::failedClosed() const
     return failed_;
 }
 
-std::optional<ApplyError>
-StandbyApplier::applyError() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return applyError_;
-}
-
-std::vector<std::uint64_t>
-StandbyApplier::imageOffsets() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    std::vector<std::uint64_t> offs;
-    offs.reserve(streams_.size());
-    for (const StreamState &st : streams_)
-        offs.push_back(st.image.size());
-    return offs;
-}
-
 std::vector<std::vector<std::uint8_t>>
 StandbyApplier::imageSet() const
 {
@@ -408,16 +358,7 @@ StandbyApplier::stats() const
 void
 StandbyApplier::drain()
 {
-    std::unique_lock<std::mutex> lock(mu_);
-    for (;;) {
-        scheduleDrain(lock);
-        if (strandRunning_) {
-            waitForStrandIdleLocked(lock);
-            continue;
-        }
-        if (applyQueue_.empty() || failed_ || !replica_)
-            return;
-    }
+    applies_.drain();
 }
 
 Promotion

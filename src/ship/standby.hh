@@ -4,9 +4,10 @@
  *
  * The standby persists shipped journal bytes into local per-stream
  * images, incrementally parses committed frames out of them, and
- * continuously replays completed epochs on a LiveReplica via an apply
- * strand on the shared exec pool — so at any moment it maintains the
- * watermark pair the ERMIA replication design tracks:
+ * continuously replays completed epochs on a LiveReplica via an
+ * unbounded apply Executor::Strand (the held ack is what bounds it) —
+ * so at any moment it maintains the watermark pair the ERMIA
+ * replication design tracks:
  *
  *   persisted  — epochs whose frames are durable in local images
  *                (contiguous from epoch 0);
@@ -29,8 +30,8 @@
  * resynchronize the sender.
  *
  * StandbyCrash (a FaultSite) models the standby process dying: all
- * volatile state — replica, decoded epochs, apply queue — is lost,
- * and the standby recovers exactly the way a restarted process would:
+ * volatile state — replica, decoded epochs, queued applies — is lost
+ * (the apply in flight is waited out), and the standby recovers exactly the way a restarted process would:
  * recoverShardedJournal over its own persisted images (one stream or
  * many), truncation to the consistent cut, and a from-scratch
  * re-apply. The sender resyncs from the recovered
@@ -48,7 +49,6 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -124,13 +124,13 @@ class StandbyApplier
     explicit StandbyApplier(StandbyOptions opts = {});
     StandbyApplier(const StandbyApplier &) = delete;
     StandbyApplier &operator=(const StandbyApplier &) = delete;
-    ~StandbyApplier();
 
     /**
      * Deliver one wire batch (possibly damaged). Appends fresh bytes,
      * parses any newly-completed frames, schedules epoch applies, and
      * holds the ack while the lag bound is exceeded. Never throws;
-     * every failure shape becomes an ack.
+     * every failure shape becomes an ack. One batch at a time: the
+     * link delivers synchronously.
      */
     ShipAck receive(std::span<const std::uint8_t> wire);
 
@@ -140,10 +140,6 @@ class StandbyApplier
     std::uint64_t replayedEpochs() const;
     /** The standby refused service permanently. */
     bool failedClosed() const;
-    /** The digest mismatch that failed the standby, if any. */
-    std::optional<ApplyError> applyError() const;
-    /** Authoritative per-stream image sizes. */
-    std::vector<std::uint64_t> imageOffsets() const;
     /** Copies of the standby's persisted stream images. */
     std::vector<std::vector<std::uint8_t>> imageSet() const;
     StandbyStats stats() const;
@@ -171,26 +167,24 @@ class StandbyApplier
     ShipAck ackLocked(std::uint64_t seq, bool accepted) const;
     std::uint64_t lagLocked() const;
     void failLocked(std::string reason);
-    void configureLocked(std::uint32_t stream_count);
-    /** Parse newly-completed frames of stream @p s and hand finished
-     *  epochs to the apply strand. */
+    /** Parse newly-completed frames of stream @p s into parsed_. */
     void ingestLocked(unsigned s);
-    void advanceContiguousLocked();
+    /** Persist the parsed epochs that became contiguous and post them
+     *  to applies_ with @p lock released: an inline pool applies them
+     *  right here, and an apply takes mu_ itself. */
+    void persistContiguousLocked(std::unique_lock<std::mutex> &lock);
+    /** The apply strand's handler: replay @p e on the replica. */
+    void applyOne(EpochRecord &e);
     /** Lose all volatile state and recover from the images. */
     void crashLocked(std::unique_lock<std::mutex> &lock);
-    void waitForStrandIdleLocked(std::unique_lock<std::mutex> &lock);
-    void scheduleDrain(std::unique_lock<std::mutex> &lock);
-    void drainApplies();
 
     StandbyOptions opts_;
     std::unique_ptr<Executor> ownPool_;
-    Executor *pool_ = nullptr;
 
     mutable std::mutex mu_;
-    std::condition_variable idleCv_; ///< strand went idle
-    std::condition_variable lagCv_;  ///< replayed advanced
+    std::condition_variable lagCv_; ///< replayed advanced
 
-    bool configured_ = false;
+    /** Sized by the first batch that names a stream count. */
     std::vector<StreamState> streams_;
     /** Canonical header payload after the streamIndex varint —
      *  byte-identical across the streams of one journal; in a
@@ -201,8 +195,6 @@ class StandbyApplier
     std::uint64_t nextPersist_ = 0;
     /** Parsed epochs waiting for their predecessors. */
     std::map<std::uint64_t, EpochRecord> parsed_;
-    std::deque<EpochRecord> applyQueue_;
-    bool strandRunning_ = false;
     std::uint64_t replayed_ = 0;
 
     /** Header ingredients (survive only as bytes across a crash —
@@ -216,6 +208,11 @@ class StandbyApplier
     std::optional<ApplyError> applyError_;
     bool promoted_ = false;
     StandbyStats stats_;
+
+    /** Persisted epochs on their way to the replica. Declared last so
+     *  that it is destroyed first: it drains while everything its
+     *  handler touches still exists. */
+    Executor::Strand<EpochRecord> applies_;
 };
 
 } // namespace dp

@@ -13,6 +13,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -290,6 +291,194 @@ TEST(ExecTrace, PoolEmitsWorkerAndTaskEvents)
     EXPECT_EQ(task_spans, 6u);
     EXPECT_EQ(starts, 2u);
     EXPECT_EQ(exits, 2u);
+}
+
+// ---- strands ----
+
+using IntStrand = Executor::Strand<int>;
+
+TEST(ExecStrand, RunsItemsInFifoOrder)
+{
+    Executor exec(4);
+    std::vector<int> seen;
+    IntStrand strand(exec, [&](int &i) { seen.push_back(i); });
+    for (int i = 0; i < 500; ++i)
+        strand.post(i);
+    strand.drain();
+    ASSERT_EQ(seen.size(), 500u);
+    for (int i = 0; i < 500; ++i)
+        EXPECT_EQ(seen[static_cast<std::size_t>(i)], i);
+}
+
+TEST(ExecStrand, HandlerCallsNeverOverlap)
+{
+    Executor exec(4);
+    std::atomic<int> inside{0}, overlaps{0}, handled{0};
+    IntStrand strand(exec, [&](int &) {
+        if (inside.fetch_add(1) != 0)
+            overlaps.fetch_add(1);
+        std::this_thread::yield();
+        inside.fetch_sub(1);
+        handled.fetch_add(1);
+    });
+    // Four producers post concurrently, so steps keep starting on
+    // whichever worker is free.
+    std::vector<std::thread> producers;
+    for (int p = 0; p < 4; ++p)
+        producers.emplace_back([&] {
+            for (int i = 0; i < 200; ++i)
+                strand.post(i);
+        });
+    for (std::thread &t : producers)
+        t.join();
+    strand.drain();
+    EXPECT_EQ(handled.load(), 800);
+    EXPECT_EQ(overlaps.load(), 0);
+}
+
+TEST(ExecStrand, PostBlocksAtCapacity)
+{
+    Executor exec(1);
+    Gate started, gate;
+    std::vector<int> seen;
+    IntStrand strand(
+        exec,
+        [&](int &i) {
+            if (i == 0) {
+                started.open();
+                gate.wait();
+            }
+            seen.push_back(i);
+        },
+        2);
+    strand.post(0);
+    started.wait(); // 0 is in flight; the queue is empty
+    strand.post(1);
+    strand.post(2); // the queue is at capacity
+
+    std::atomic<bool> posted{false};
+    std::thread producer([&] {
+        strand.post(3);
+        posted = true;
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_FALSE(posted.load());
+    gate.open();
+    producer.join();
+    EXPECT_TRUE(posted.load());
+    strand.drain();
+    EXPECT_EQ(seen, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(ExecStrand, DrainWaitsForTheItemInFlight)
+{
+    Executor exec(1);
+    Gate started, gate;
+    std::atomic<bool> handled{false}, drained{false};
+    IntStrand strand(exec, [&](int &) {
+        started.open();
+        gate.wait();
+        handled = true;
+    });
+    strand.post(7);
+    started.wait(); // the queue is empty, the handler still runs
+    std::thread waiter([&] {
+        strand.drain();
+        drained = true;
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_FALSE(drained.load());
+    gate.open();
+    waiter.join();
+    EXPECT_TRUE(handled.load());
+}
+
+TEST(ExecStrand, InlinePoolRunsTheHandlerOnThePostingThread)
+{
+    Executor exec(0);
+    std::vector<std::thread::id> ran_on;
+    IntStrand strand(exec, [&](int &) {
+        ran_on.push_back(std::this_thread::get_id());
+    });
+    strand.post(1);
+    // Handled before post() returned, with no drain().
+    ASSERT_EQ(ran_on.size(), 1u);
+    strand.post(2);
+    ASSERT_EQ(ran_on.size(), 2u);
+    for (std::thread::id id : ran_on)
+        EXPECT_EQ(id, std::this_thread::get_id());
+    EXPECT_EQ(exec.stats().threadsSpawned, 0u);
+}
+
+/** Post 0..9 to @p strand once item 0 is in flight (its handler
+ *  opens @p started, then holds), so 1..9 are queued behind it. */
+void
+postBehindGate(IntStrand &strand, Gate &started)
+{
+    strand.post(0);
+    started.wait();
+    for (int i = 1; i < 10; ++i)
+        strand.post(i);
+}
+
+TEST(ExecStrand, DestroyingTheStrandRunsEveryQueuedItem)
+{
+    Executor exec(1);
+    Gate started, gate;
+    std::vector<int> seen;
+    {
+        IntStrand strand(exec, [&](int &i) {
+            if (i == 0) {
+                started.open();
+                gate.wait();
+            }
+            seen.push_back(i);
+        });
+        postBehindGate(strand, started);
+        gate.open();
+    }
+    EXPECT_EQ(seen, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
+}
+
+TEST(ExecStrand, DestroyingThePoolRunsEveryQueuedItem)
+{
+    auto exec = std::make_unique<Executor>(1);
+    Gate started, gate;
+    std::vector<int> seen;
+    IntStrand strand(*exec, [&](int &i) {
+        if (i == 0) {
+            started.open();
+            gate.wait();
+        }
+        seen.push_back(i);
+    });
+    postBehindGate(strand, started);
+    gate.open();
+    exec.reset();
+    EXPECT_EQ(seen, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
+}
+
+TEST(ExecStrand, DiscardDropsQueuedItemsAndKeepsTheOneInFlight)
+{
+    Executor exec(1);
+    Gate started, gate;
+    std::vector<int> seen;
+    IntStrand strand(exec, [&](int &i) {
+        if (i == 0) {
+            started.open();
+            gate.wait();
+        }
+        seen.push_back(i);
+    });
+    postBehindGate(strand, started);
+    strand.discard();
+    gate.open();
+    strand.drain();
+    EXPECT_EQ(seen, (std::vector<int>{0}));
+    // The strand keeps working after a discard.
+    strand.post(10);
+    strand.drain();
+    EXPECT_EQ(seen, (std::vector<int>{0, 10}));
 }
 
 // ---- recorder integration: the no-thread-per-epoch contract ----

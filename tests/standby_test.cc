@@ -87,10 +87,11 @@ struct Outcome
 Outcome
 ship(const std::vector<std::vector<std::uint8_t>> &images,
      FaultInjector *faults = nullptr, ShipSenderOptions sopts = {},
-     std::uint64_t lag_bound = 64)
+     std::uint64_t lag_bound = 64, unsigned apply_workers = 1)
 {
-    StandbyApplier standby(
-        {.lagBound = lag_bound, .faults = faults});
+    StandbyApplier standby({.lagBound = lag_bound,
+                            .applyWorkers = apply_workers,
+                            .faults = faults});
     ShipLink link(standby, faults);
     ShipSender sender(
         link, static_cast<unsigned>(images.size()),
@@ -145,7 +146,8 @@ killPrimaryAt(const ShardedRun &run, std::uint64_t keep_epochs)
 // promoted under every link fault site. The promoted machine's
 // state hash must equal the state a cold recovery of the same
 // journal prefix reaches, and the whole failover must be
-// deterministic for a fixed seed.
+// deterministic for a fixed seed, whether the standby applies
+// inline (applyWorkers = 0) or on its own worker.
 TEST(Standby, KillPrimaryMidEpochFailsOverUnderEveryLinkFault)
 {
     ShardedRun run = recordSharded(2, /*incs=*/2000);
@@ -169,8 +171,9 @@ TEST(Standby, KillPrimaryMidEpochFailsOverUnderEveryLinkFault)
     };
     for (FaultSite site : sites) {
         SCOPED_TRACE(faultSiteName(site));
-        Outcome runs[2];
-        for (int i = 0; i < 2; ++i) {
+        // Two runs inline, then two on one apply worker.
+        Outcome runs[4];
+        for (int i = 0; i < 4; ++i) {
             FaultPlan plan;
             plan.seed = 0xfa11 ^ static_cast<std::uint64_t>(site);
             plan.with(site, 0.25);
@@ -178,7 +181,8 @@ TEST(Standby, KillPrimaryMidEpochFailsOverUnderEveryLinkFault)
             ShipSenderOptions sopts;
             sopts.batchBytes = 512;
             sopts.maxAttempts = 32;
-            runs[i] = ship(corpse, &faults, sopts);
+            runs[i] = ship(corpse, &faults, sopts, 64,
+                           /*apply_workers=*/i < 2 ? 0 : 1);
         }
         for (const Outcome &o : runs) {
             EXPECT_FALSE(o.senderFailed);
@@ -192,16 +196,21 @@ TEST(Standby, KillPrimaryMidEpochFailsOverUnderEveryLinkFault)
         }
         // Deterministic failover: the same seed replays the same
         // session — hashes, watermarks, and the sender's entire
-        // retry ledger.
-        EXPECT_EQ(runs[0].sender.batchesSent,
-                  runs[1].sender.batchesSent);
-        EXPECT_EQ(runs[0].sender.retries, runs[1].sender.retries);
-        EXPECT_EQ(runs[0].sender.timeouts, runs[1].sender.timeouts);
-        EXPECT_EQ(runs[0].sender.backoffTicks,
-                  runs[1].sender.backoffTicks);
-        EXPECT_EQ(runs[0].sender.bytesShipped,
-                  runs[1].sender.bytesShipped);
-        EXPECT_EQ(runs[0].standby.crashes, runs[1].standby.crashes);
+        // retry ledger — at either apply pool shape.
+        for (int i = 1; i < 4; ++i) {
+            SCOPED_TRACE(i);
+            EXPECT_EQ(runs[0].sender.batchesSent,
+                      runs[i].sender.batchesSent);
+            EXPECT_EQ(runs[0].sender.retries, runs[i].sender.retries);
+            EXPECT_EQ(runs[0].sender.timeouts,
+                      runs[i].sender.timeouts);
+            EXPECT_EQ(runs[0].sender.backoffTicks,
+                      runs[i].sender.backoffTicks);
+            EXPECT_EQ(runs[0].sender.bytesShipped,
+                      runs[i].sender.bytesShipped);
+            EXPECT_EQ(runs[0].standby.crashes,
+                      runs[i].standby.crashes);
+        }
     }
 }
 

@@ -427,8 +427,10 @@ TEST(TraceStructure, ReplayAndJournalStagesEmit)
 
     // Replay emits one span per epoch; parallel replay spreads them
     // over worker tracks. Replay results are unaffected by tracing.
-    Replayer rep(run.out.recording);
+    // The sink is declared first so that it outlives the replayer,
+    // whose pool writes worker-exit instants when it is destroyed.
     TraceRecorder rtr;
+    Replayer rep(run.out.recording);
     rep.setTrace(&rtr);
     ReplayResult seq = rep.replaySequential();
     ASSERT_TRUE(seq.ok);
