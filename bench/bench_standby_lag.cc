@@ -30,9 +30,7 @@
 #include "core/recorder.hh"
 #include "fault/fault.hh"
 #include "journal/sharded.hh"
-#include "ship/link.hh"
-#include "ship/sender.hh"
-#include "ship/standby.hh"
+#include "ship/pipeline.hh"
 #include "workloads/registry.hh"
 
 using namespace dp;
@@ -79,7 +77,6 @@ measure(std::uint64_t epoch_length, double fault_rate,
     ShardedJournalWriter journal(b.program, b.config,
                                  recorderOptionsFingerprint(opts),
                                  {.streams = 2});
-    journal.enableAsyncCommit();
 
     FaultPlan plan;
     plan.seed = seed;
@@ -88,45 +85,32 @@ measure(std::uint64_t epoch_length, double fault_rate,
         .with(FaultSite::LinkDuplicate, fault_rate / 2);
     FaultInjector faults(plan);
 
-    StandbyApplier standby({.lagBound = 8, .faults = &faults});
-    ShipLink link(standby, &faults);
-    ShipSenderOptions sopts;
-    sopts.batchBytes = 16 * 1024;
-    sopts.maxAttempts = 64;
-    sopts.seed = seed + 1;
-    ShipSender sender(
-        link, journal.streams(),
-        [&](unsigned s) -> std::span<const std::uint8_t> {
-            return journal.streamBytes(s);
-        },
-        sopts);
-
+    CommitPipeline pipeline(journal,
+                            {.standby = StandbyOptions{.lagBound = 8},
+                             .sender = {.batchBytes = 16 * 1024,
+                                        .maxAttempts = 64,
+                                        .seed = seed + 1},
+                             .faults = &faults});
     RecordObserver obs;
-    obs.addEpochSink([&](const EpochRecord &e, EpochId index) {
-        journal.appendEpoch(e, index);
-        sender.noteEpochCommitted();
-        sender.pump();
-    });
+    pipeline.attach(obs);
 
     ShipMeasurement m;
     auto t0 = Clock::now();
     UniparallelRecorder rec(b.program, b.config, opts);
     RecordOutcome out = rec.record(&obs);
-    sender.pump();
+    pipeline.finish();
     m.shipMs = msSince(t0);
 
     auto t1 = Clock::now();
-    Promotion p = standby.promote();
+    ShipOutcome o = pipeline.promote();
     m.failoverMs = msSince(t1);
 
-    m.epochs = p.report.replayedEpochs;
-    m.maxLag = standby.stats().maxLag;
-    m.retries = sender.stats().retries;
-    m.batches = sender.stats().batchesSent;
-    m.converged =
-        out.ok && !sender.failed() && p.report.promoted &&
-        p.report.replayedEpochs == out.recording.epochs.size() &&
-        p.report.finalStateHash == out.recording.finalStateHash;
+    m.epochs = o.promotion.report.replayedEpochs;
+    m.maxLag = o.standby.maxLag;
+    m.retries = o.sender.retries;
+    m.batches = o.sender.batchesSent;
+    m.converged = out.ok && o.converged(out.recording.epochs.size(),
+                                        out.recording.finalStateHash);
     return m;
 }
 

@@ -6,8 +6,9 @@
  * This sits in core (below the whole-recording Replayer) because the
  * recorder itself needs it: resuming a journaled recording replays the
  * recovered prefix sequentially to reconstruct the boundary
- * checkpoint before recording continues. Replayer, LiveReplica, and
- * the analysis tools all build on the same primitive.
+ * checkpoint before recording continues. Replayer, the hot standby
+ * (StandbyApplier), and the analysis tools all build on the same
+ * primitive.
  */
 
 #ifndef DP_CORE_EPOCH_REPLAY_HH
@@ -51,8 +52,8 @@ struct ReplayObserver
  * Re-execute one recorded epoch on @p m (which must hold the epoch's
  * start state): follow the timeslice schedule, inject logged results,
  * cross-check the deterministic syscall stream, and verify the
- * end-state digest. The building block under Replayer, LiveReplica,
- * and the recorder's resume mode.
+ * end-state digest. The building block under Replayer,
+ * StandbyApplier, and the recorder's resume mode.
  */
 bool replayEpochOnMachine(Machine &m, const EpochRecord &epoch,
                           const CostModel &costs, Cycles &cycles,

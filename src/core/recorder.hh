@@ -166,7 +166,7 @@ const char *recoveryKindName(RecoveryKind k);
  * Callbacks observing a record session as it progresses. Committed
  * epochs are final (a divergence squashes the *speculation*, never an
  * already-committed epoch), so onEpochCommitted can stream them to a
- * LiveReplica or to storage.
+ * hot standby or to storage.
  */
 struct RecordObserver
 {

@@ -5,12 +5,10 @@
  * The sender replicates journal stream images byte-for-byte: it
  * tracks a per-stream sent offset, and pump() ships every byte the
  * source holds beyond it as CRC-framed batches across the ShipLink,
- * round-robin across streams so no stream starves. Wire it into a
- * record session by calling pump() from
- * RecordObserver::onEpochCommitted after the journal writer's
- * append — the source callback reads the writer's committed stream
- * bytes (flushing its committer strands), so only durable bytes ever
- * ship. The same sender ships a loaded journal file set offline.
+ * round-robin across streams so no stream starves. CommitPipeline
+ * (pipeline.hh) wires it into a record session, pumping after each
+ * journal append, and ships a loaded journal file set offline
+ * (shipAndPromote).
  *
  * Reliability loop per batch: transmit, await the ack, and on a
  * timeout retry the same batch under a capped exponential backoff
@@ -88,11 +86,6 @@ class ShipSender
     }
 
     const ShipSenderStats &stats() const { return stats_; }
-    const std::vector<std::uint64_t> &
-    sentOffsets() const
-    {
-        return sent_;
-    }
 
   private:
     /** Ship one batch of stream @p s with the retry loop; false only

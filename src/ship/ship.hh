@@ -111,9 +111,12 @@ struct LinkStats
     std::uint64_t reordered = 0; ///< batches held for late delivery
     std::uint64_t torn = 0;      ///< batches truncated mid-flight
     std::uint64_t disconnects = 0;
+
+    bool operator==(const LinkStats &) const = default;
 };
 
-/** Sender-side counters and watermarks. */
+/** Sender-side counters and watermarks; reproducible per fault plan
+ *  and seed except ackedReplayedEpochs with an apply worker. */
 struct ShipSenderStats
 {
     std::uint64_t batchesSent = 0;  ///< transmissions incl. retries
@@ -136,9 +139,12 @@ struct ShipSenderStats
     bool linkFailed = false;
     /** The standby reported failedClosed. */
     bool standbyFailed = false;
+
+    bool operator==(const ShipSenderStats &) const = default;
 };
 
-/** Standby-side counters and watermarks. */
+/** Standby-side counters and watermarks; with an apply worker,
+ *  maxLag and lagWaits depend on host timing (DESIGN.md §14). */
 struct StandbyStats
 {
     std::uint64_t batchesReceived = 0;
@@ -151,6 +157,8 @@ struct StandbyStats
     std::uint64_t maxLag = 0;    ///< max persisted-replayed observed
     std::uint64_t persistedEpochs = 0;
     std::uint64_t replayedEpochs = 0;
+
+    bool operator==(const StandbyStats &) const = default;
 };
 
 /**

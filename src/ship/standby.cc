@@ -5,11 +5,21 @@
 #include <utility>
 
 #include "common/logging.hh"
+#include "core/epoch_replay.hh"
 #include "journal/frame.hh"
 #include "journal/sharded.hh"
 
 namespace dp
 {
+
+std::string
+ApplyError::describe() const
+{
+    std::ostringstream out;
+    out << "epoch " << epoch << " digest mismatch: expected 0x"
+        << std::hex << expectedDigest << ", got 0x" << actualDigest;
+    return out.str();
+}
 
 std::string
 FailoverReport::describe() const
@@ -121,8 +131,7 @@ StandbyApplier::ingestLocked(unsigned s)
                     prog_ = std::make_shared<const GuestProgram>(
                         std::move(h.prog));
                     cfg_ = h.cfg;
-                    replica_ =
-                        std::make_unique<LiveReplica>(*prog_, cfg_);
+                    machine_ = std::make_unique<Machine>(*prog_, cfg_);
                 }
                 st.headerSeen = true;
                 st.nextIndex = s; // first epoch index stream s owns
@@ -180,17 +189,20 @@ StandbyApplier::applyOne(EpochRecord &e)
 {
     std::unique_lock<std::mutex> lock(mu_);
     // A failed or promoted standby drops what is still queued.
-    if (failed_ || !replica_)
+    if (failed_ || !machine_)
         return;
-    LiveReplica *replica = replica_.get();
+    Machine *m = machine_.get();
+    const std::uint64_t index = replayed_;
     lock.unlock();
-    std::optional<ApplyError> err = replica->apply(e);
+    Cycles cycles = 0;
+    std::uint64_t instrs = 0;
+    const bool ok = replayEpochOnMachine(*m, e, costs_, cycles, instrs);
     lock.lock();
-    if (err) {
-        applyError_ = err;
-        failLocked("apply: " + err->describe());
-    } else {
+    if (ok) {
         ++replayed_;
+    } else {
+        applyError_ = ApplyError{index, e.endStateHash, m->stateHash()};
+        failLocked("apply: " + applyError_->describe());
     }
     lagCv_.notify_all();
 }
@@ -199,7 +211,7 @@ void
 StandbyApplier::crashLocked(std::unique_lock<std::mutex> &lock)
 {
     // The process dies: the queued applies are lost, and the one in
-    // flight is waited out (its effect is discarded with the replica
+    // flight is waited out (its effect is discarded with the machine
     // below). Only the persisted images survive.
     applies_.discard();
     lock.unlock();
@@ -207,7 +219,7 @@ StandbyApplier::crashLocked(std::unique_lock<std::mutex> &lock)
     lock.lock();
     ++stats_.crashes;
     parsed_.clear();
-    replica_.reset();
+    machine_.reset();
     prog_.reset();
     headerSuffix_.clear();
     replayed_ = 0;
@@ -303,7 +315,7 @@ StandbyApplier::receive(std::span<const std::uint8_t> wire)
     persistContiguousLocked(lock);
 
     // Bounded lag: hold the ack (and so the primary) while the
-    // replica is too far behind what we just persisted.
+    // machine is too far behind what we just persisted.
     if (lagLocked() > opts_.lagBound) {
         ++stats_.lagWaits;
         lagCv_.wait(lock, [&] {
@@ -311,20 +323,6 @@ StandbyApplier::receive(std::span<const std::uint8_t> wire)
         });
     }
     return ackLocked(b->seq, !failed_);
-}
-
-std::uint64_t
-StandbyApplier::persistedEpochs() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return nextPersist_;
-}
-
-std::uint64_t
-StandbyApplier::replayedEpochs() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return replayed_;
 }
 
 bool
@@ -376,13 +374,11 @@ StandbyApplier::promote()
     p.report.replayedEpochs = replayed_;
     p.report.crashesRecovered = stats_.crashes;
     // Promotion rule: a machine comes out iff the standby never
-    // failed closed — after a digest mismatch the replica sits past
+    // failed closed — after a digest mismatch the machine sits past
     // the last verified boundary and must not serve.
-    if (!failed_ && replica_) {
+    if (!failed_ && machine_) {
         p.program = prog_;
-        p.machine = std::make_unique<Machine>(
-            std::move(*replica_).takeOver());
-        replica_.reset();
+        p.machine = std::move(machine_);
         p.report.finalStateHash = p.machine->stateHash();
         p.report.promoted = true;
     }

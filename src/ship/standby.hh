@@ -4,14 +4,15 @@
  *
  * The standby persists shipped journal bytes into local per-stream
  * images, incrementally parses committed frames out of them, and
- * continuously replays completed epochs on a LiveReplica via an
+ * continuously replays completed epochs on its own standby Machine
+ * (replayEpochOnMachine, digest-verified at every boundary) via an
  * unbounded apply Executor::Strand (the held ack is what bounds it) —
  * so at any moment it maintains the watermark pair the ERMIA
  * replication design tracks:
  *
  *   persisted  — epochs whose frames are durable in local images
  *                (contiguous from epoch 0);
- *   replayed   — epochs the replica machine has applied.
+ *   replayed   — epochs the standby machine has applied.
  *
  * Bounded lag: receive() holds its ack while persisted - replayed
  * exceeds the lag bound, which back-pressures the primary through the
@@ -20,17 +21,17 @@
  * batch carries, but the primary cannot run ahead further than one
  * unacked batch past the bound.
  *
- * Fail-closed rules: a digest mismatch during apply (LiveReplica's
- * ApplyError), structurally corrupt journal bytes inside an accepted
- * batch, or cross-stream identity mismatches all poison the standby —
- * it refuses every further batch and promote() refuses to hand out a
- * machine (the replica's state is past the last verified boundary).
+ * Fail-closed rules: a digest mismatch during apply (an ApplyError),
+ * structurally corrupt journal bytes inside an accepted batch, or
+ * cross-stream identity mismatches all poison the standby — it
+ * refuses every further batch and promote() refuses to hand out a
+ * machine (its state is past the last verified boundary).
  * Torn batches, gaps, duplicates, and reorders are *not* failures:
  * they are refused or absorbed idempotently and the ack's watermarks
  * resynchronize the sender.
  *
  * StandbyCrash (a FaultSite) models the standby process dying: all
- * volatile state — replica, decoded epochs, queued applies — is lost
+ * volatile state — machine, decoded epochs, queued applies — is lost
  * (the apply in flight is waited out), and the standby recovers exactly the way a restarted process would:
  * recoverShardedJournal over its own persisted images (one stream or
  * many), truncation to the consistent cut, and a from-scratch
@@ -38,7 +39,7 @@
  * offsets carried in the nack.
  *
  * promote() is failover: drain the apply strand, then hand out the
- * replica's Machine plus a FailoverReport. Promotion rule: a machine
+ * standby Machine plus a FailoverReport. Promotion rule: a machine
  * is produced iff the standby never failed closed; its state hash
  * then equals the digest of epoch (persisted-1)'s boundary — the same
  * state recovery of the shipped journal prefix would reach.
@@ -60,11 +61,27 @@
 #include "core/recording.hh"
 #include "exec/executor.hh"
 #include "fault/fault.hh"
-#include "replay/live_replica.hh"
 #include "ship/ship.hh"
+#include "timing/cost_model.hh"
 
 namespace dp
 {
+
+/** Why the standby refused an epoch: the digest check failed. */
+struct ApplyError
+{
+    /** Index of the epoch (in apply order) that diverged. */
+    std::uint64_t epoch = 0;
+    /** Digest the recording says the epoch boundary should have. */
+    std::uint64_t expectedDigest = 0;
+    /** Digest the standby's machine actually reached. */
+    std::uint64_t actualDigest = 0;
+
+    bool operator==(const ApplyError &) const = default;
+
+    /** One-line human-readable rendering for logs and the CLI. */
+    std::string describe() const;
+};
 
 /** Shape of a standby. */
 struct StandbyOptions
@@ -87,7 +104,7 @@ struct StandbyOptions
 struct FailoverReport
 {
     /** A machine was produced (the standby never failed closed and
-     *  had materialized a replica from the shipped header). */
+     *  had built its machine from the shipped header). */
     bool promoted = false;
     /** The standby refused promotion: digest mismatch or structural
      *  corruption. */
@@ -102,6 +119,8 @@ struct FailoverReport
     std::uint64_t finalStateHash = 0;
     /** StandbyCrash recoveries survived along the way. */
     std::uint64_t crashesRecovered = 0;
+
+    bool operator==(const FailoverReport &) const = default;
 
     /** One-line human-readable rendering. */
     std::string describe() const;
@@ -134,10 +153,6 @@ class StandbyApplier
      */
     ShipAck receive(std::span<const std::uint8_t> wire);
 
-    /** Epochs durably persisted in local images (contiguous). */
-    std::uint64_t persistedEpochs() const;
-    /** Epochs the replica has replayed. */
-    std::uint64_t replayedEpochs() const;
     /** The standby refused service permanently. */
     bool failedClosed() const;
     /** Copies of the standby's persisted stream images. */
@@ -173,7 +188,7 @@ class StandbyApplier
      *  to applies_ with @p lock released: an inline pool applies them
      *  right here, and an apply takes mu_ itself. */
     void persistContiguousLocked(std::unique_lock<std::mutex> &lock);
-    /** The apply strand's handler: replay @p e on the replica. */
+    /** The apply strand's handler: replay @p e on machine_. */
     void applyOne(EpochRecord &e);
     /** Lose all volatile state and recover from the images. */
     void crashLocked(std::unique_lock<std::mutex> &lock);
@@ -201,7 +216,9 @@ class StandbyApplier
      *  rebuilt by re-scanning the images). */
     std::shared_ptr<const GuestProgram> prog_;
     MachineConfig cfg_{};
-    std::unique_ptr<LiveReplica> replica_;
+    /** The standby machine: the last applied epoch boundary. */
+    std::unique_ptr<Machine> machine_;
+    const CostModel costs_{};
 
     bool failed_ = false;
     std::string failReason_;

@@ -19,9 +19,7 @@
 #include "journal/sharded.hh"
 #include "replay/recording_io.hh"
 #include "replay/replayer.hh"
-#include "ship/link.hh"
-#include "ship/sender.hh"
-#include "ship/standby.hh"
+#include "ship/pipeline.hh"
 #include "testprogs.hh"
 
 namespace dp
@@ -625,19 +623,13 @@ TEST_P(ShipProperty, RandomLinkFaultPlansConvergeOrFailClosed)
 
     StandbyApplier standby(
         {.lagBound = lagBounds[rng.below(3)], .faults = &faults});
-    ShipLink link(standby, &faults);
-    ShipSenderOptions sopts;
-    sopts.batchBytes = rng.chance(1, 2) ? 512 : 4096;
-    sopts.maxAttempts = 8;
-    sopts.seed = seed + 1;
-    ShipSender sender(
-        link, n,
-        [&](unsigned s) -> std::span<const std::uint8_t> {
-            return images[s];
-        },
-        sopts);
-    const bool caughtUp = sender.pump();
-    Promotion p = standby.promote();
+    ShipOutcome o = shipAndPromote(
+        standby, images, total,
+        {.batchBytes = rng.chance(1, 2) ? 512u : 4096u,
+         .maxAttempts = 8,
+         .seed = seed + 1},
+        &faults);
+    const Promotion &p = o.promotion;
 
     if (p.report.promoted) {
         // Never silent divergence: the promoted machine's state is
@@ -662,7 +654,7 @@ TEST_P(ShipProperty, RandomLinkFaultPlansConvergeOrFailClosed)
             << "seed " << seed
             << ": a refused promotion needs a reason";
     }
-    if (caughtUp && !sender.failed()) {
+    if (!o.shippingFailed()) {
         // A clean sender finish means nothing was lost: the standby
         // holds and replayed the full source.
         EXPECT_TRUE(p.report.promoted) << "seed " << seed;

@@ -4,108 +4,44 @@
  * codec integrity, clean-link byte identity, per-fault-site
  * survivability, deterministic retry backoff, retry-budget
  * exhaustion (fail the link, never the standby), the bounded-lag
- * ack hold, and the dp-metrics-v1 shipping snapshot.
+ * ack hold, the dp-metrics-v1 shipping snapshot, and CommitPipeline:
+ * the same bytes, failover and counters as the hand-written commit
+ * sequence, and a live standby that tracks every committed boundary.
  */
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <functional>
 #include <future>
 #include <thread>
 
-#include "core/recorder.hh"
 #include "fault/fault.hh"
-#include "journal/sharded.hh"
 #include "ship/link.hh"
-#include "ship/sender.hh"
-#include "ship/standby.hh"
-#include "testprogs.hh"
+#include "ship/pipeline.hh"
+#include "ship_fixture.hh"
 #include "trace/json.hh"
+#include "workloads/registry.hh"
 
 namespace dp
 {
 namespace
 {
 
-RecorderOptions
-testOpts()
+/** A cold shipping session plus the standby's persisted images. */
+struct ShipRun : ShipOutcome
 {
-    RecorderOptions opts;
-    opts.workerCpus = 2;
-    opts.epochLength = 15'000;
-    opts.keepCheckpoints = false;
-    return opts;
-}
-
-/** One journaled record session: the shipping source of truth. */
-struct SourceRun
-{
-    std::vector<std::vector<std::uint8_t>> images;
-    std::size_t epochs = 0;
-    std::uint64_t finalStateHash = 0;
-};
-
-SourceRun
-recordSource(unsigned streams, std::uint64_t incs = 400)
-{
-    GuestProgram prog = testprogs::lockedCounter(2, incs);
-    RecorderOptions opts = testOpts();
-    ShardedJournalWriter jw(prog, {},
-                            recorderOptionsFingerprint(opts),
-                            {.streams = streams});
-    RecordObserver obs;
-    obs.addEpochSink([&](const EpochRecord &e, EpochId index) {
-        jw.appendEpoch(e, index);
-    });
-    UniparallelRecorder rec(prog, {}, opts);
-    RecordOutcome out = rec.record(&obs);
-    EXPECT_TRUE(out.ok);
-    jw.flush();
-    return {jw.imageSet(), out.recording.epochs.size(),
-            out.recording.finalStateHash};
-}
-
-/** Ship @p src into a fresh standby; returns the promotion. */
-struct ShipRun
-{
-    Promotion promotion;
-    ShipSenderStats sender;
-    StandbyStats standby;
-    LinkStats link;
     std::vector<std::vector<std::uint8_t>> standbyImages;
-    bool senderFailed = false;
 };
 
 ShipRun
-shipInto(StandbyApplier &standby, const SourceRun &src,
-         FaultInjector *faults = nullptr, ShipSenderOptions sopts = {})
+shipAll(const ShardedRun &src, FaultInjector *faults = nullptr,
+        ShipSenderOptions sopts = {})
 {
-    ShipLink link(standby, faults);
-    ShipSender sender(
-        link, static_cast<unsigned>(src.images.size()),
-        [&](unsigned s) -> std::span<const std::uint8_t> {
-            return src.images[s];
-        },
-        sopts);
-    sender.noteEpochCommitted(src.epochs);
-    sender.pump();
-    ShipRun r;
-    r.senderFailed = sender.failed();
-    r.standbyImages = standby.imageSet();
-    r.promotion = standby.promote();
-    r.sender = sender.stats();
-    r.standby = standby.stats();
-    r.link = link.stats();
-    return r;
-}
-
-ShipRun
-shipAll(const SourceRun &src, FaultInjector *faults = nullptr,
-        ShipSenderOptions sopts = {}, std::uint64_t lag_bound = 64)
-{
-    StandbyApplier standby(
-        {.lagBound = lag_bound, .faults = faults});
-    return shipInto(standby, src, faults, sopts);
+    StandbyApplier standby({.lagBound = 64, .faults = faults});
+    return {shipAndPromote(standby, src.images, src.epochs.size(),
+                           sopts, faults),
+            standby.imageSet()};
 }
 
 TEST(ShipCodec, BatchRoundTrips)
@@ -165,15 +101,15 @@ TEST(ShipCodec, RejectsEveryTruncationAndBitFlip)
 
 TEST(Ship, CleanLinkReplicatesByteIdenticalAndPromotes)
 {
-    SourceRun src = recordSource(2);
-    ASSERT_GE(src.epochs, 3u);
+    ShardedRun src = recordSharded(2);
+    ASSERT_GE(src.epochs.size(), 3u);
     ShipRun r = shipAll(src);
 
-    EXPECT_FALSE(r.senderFailed);
+    EXPECT_FALSE(r.shippingFailed());
     EXPECT_EQ(r.standbyImages, src.images);
     ASSERT_TRUE(r.promotion.report.promoted);
-    EXPECT_EQ(r.promotion.report.replayedEpochs, src.epochs);
-    EXPECT_EQ(r.promotion.report.persistedEpochs, src.epochs);
+    EXPECT_EQ(r.promotion.report.replayedEpochs, src.epochs.size());
+    EXPECT_EQ(r.promotion.report.persistedEpochs, src.epochs.size());
     EXPECT_EQ(r.promotion.report.finalStateHash, src.finalStateHash);
     ASSERT_NE(r.promotion.machine, nullptr);
     EXPECT_EQ(r.promotion.machine->stateHash(), src.finalStateHash);
@@ -186,7 +122,7 @@ TEST(Ship, CleanLinkReplicatesByteIdenticalAndPromotes)
 // — the faults cost retries, never correctness.
 TEST(Ship, EveryLinkFaultSiteIsSurvivable)
 {
-    SourceRun src = recordSource(2, /*incs=*/2000);
+    ShardedRun src = recordSharded(2, /*incs=*/2000);
     const FaultSite sites[] = {
         FaultSite::LinkDrop,      FaultSite::LinkDuplicate,
         FaultSite::LinkReorder,   FaultSite::LinkTornBatch,
@@ -204,10 +140,10 @@ TEST(Ship, EveryLinkFaultSiteIsSurvivable)
         sopts.maxAttempts = 32;
         ShipRun r = shipAll(src, &faults, sopts);
 
-        EXPECT_FALSE(r.senderFailed);
+        EXPECT_FALSE(r.shippingFailed());
         EXPECT_EQ(r.standbyImages, src.images);
         ASSERT_TRUE(r.promotion.report.promoted);
-        EXPECT_EQ(r.promotion.report.replayedEpochs, src.epochs);
+        EXPECT_EQ(r.promotion.report.replayedEpochs, src.epochs.size());
         EXPECT_EQ(r.promotion.report.finalStateHash,
                   src.finalStateHash);
         EXPECT_GT(faults.stats().totalFired(), 0u)
@@ -219,7 +155,7 @@ TEST(Ship, EveryLinkFaultSiteIsSurvivable)
 // backoff is virtual ticks, a pure function of (seed, seq, attempt).
 TEST(Ship, RetryBackoffIsDeterministicPerSeed)
 {
-    SourceRun src = recordSource(1, /*incs=*/2000);
+    ShardedRun src = recordSharded(1, /*incs=*/2000);
     ShipSenderStats st[2];
     for (int i = 0; i < 2; ++i) {
         FaultPlan plan;
@@ -231,7 +167,7 @@ TEST(Ship, RetryBackoffIsDeterministicPerSeed)
         sopts.maxAttempts = 64;
         sopts.seed = 5;
         ShipRun r = shipAll(src, &faults, sopts);
-        EXPECT_FALSE(r.senderFailed);
+        EXPECT_FALSE(r.shippingFailed());
         st[i] = r.sender;
     }
     EXPECT_EQ(st[0].retries, st[1].retries);
@@ -247,7 +183,7 @@ TEST(Ship, RetryBackoffIsDeterministicPerSeed)
 // serving would still be sound.
 TEST(Ship, RetryBudgetExhaustionFailsTheLinkNotTheStandby)
 {
-    SourceRun src = recordSource(1);
+    ShardedRun src = recordSharded(1);
     FaultPlan plan;
     plan.seed = 3;
     plan.with(FaultSite::LinkDrop, 1.0);
@@ -256,7 +192,7 @@ TEST(Ship, RetryBudgetExhaustionFailsTheLinkNotTheStandby)
     sopts.maxAttempts = 4;
     ShipRun r = shipAll(src, &faults, sopts);
 
-    EXPECT_TRUE(r.senderFailed);
+    EXPECT_TRUE(r.shippingFailed());
     EXPECT_TRUE(r.sender.linkFailed);
     EXPECT_FALSE(r.sender.standbyFailed);
     EXPECT_EQ(r.sender.bytesShipped, 0u);
@@ -271,8 +207,8 @@ TEST(Ship, RetryBudgetExhaustionFailsTheLinkNotTheStandby)
 // staleness by construction.
 TEST(Ship, LagBoundHoldsAcksUntilReplayCatchesUp)
 {
-    SourceRun src = recordSource(1);
-    ASSERT_GE(src.epochs, 3u);
+    ShardedRun src = recordSharded(1);
+    ASSERT_GE(src.epochs.size(), 3u);
     // The apply pool's one worker waits behind a gate until the
     // standby holds an ack, so the replica cannot catch up between
     // ingest and the lag check however the host schedules threads.
@@ -290,10 +226,11 @@ TEST(Ship, LagBoundHoldsAcksUntilReplayCatchesUp)
     });
     ShipSenderOptions sopts;
     sopts.batchBytes = 1024; // several epochs arrive per pump
-    ShipRun r = shipInto(standby, src, /*faults=*/nullptr, sopts);
+    ShipOutcome r = shipAndPromote(standby, src.images,
+                                   src.epochs.size(), sopts);
     opener.join();
 
-    EXPECT_FALSE(r.senderFailed);
+    EXPECT_FALSE(r.shippingFailed());
     ASSERT_TRUE(r.promotion.report.promoted);
     EXPECT_EQ(r.promotion.report.finalStateHash, src.finalStateHash);
     EXPECT_GT(r.standby.lagWaits, 0u)
@@ -305,7 +242,7 @@ TEST(Ship, LagBoundHoldsAcksUntilReplayCatchesUp)
 // idempotently — and neither poisons the standby.
 TEST(Ship, GapsAreNackedAndDuplicatesAbsorbed)
 {
-    SourceRun src = recordSource(1);
+    ShardedRun src = recordSharded(1);
     const std::vector<std::uint8_t> &image = src.images[0];
     ASSERT_GT(image.size(), 256u);
 
@@ -343,11 +280,9 @@ TEST(Ship, GapsAreNackedAndDuplicatesAbsorbed)
 
 TEST(Ship, MetricsSnapshotIsSchemaTaggedAndComplete)
 {
-    SourceRun src = recordSource(1);
+    ShardedRun src = recordSharded(1);
     ShipRun r = shipAll(src);
-    JsonValue doc =
-        shipMetricsSnapshot(r.sender, r.standby, r.link);
-    const std::string text = doc.dump();
+    const std::string text = r.metrics().dump();
     for (const char *key :
          {"\"schema\":\"dp-metrics-v1\"", "watermarks",
           "committedEpochs", "persistedEpochs", "replayedEpochs",
@@ -358,6 +293,195 @@ TEST(Ship, MetricsSnapshotIsSchemaTaggedAndComplete)
     std::string err;
     std::optional<JsonValue> parsed = JsonValue::parse(text, &err);
     EXPECT_TRUE(parsed.has_value()) << err;
+}
+
+/** What one live record → journal → ship → promote session left. */
+struct LiveRun : ShipRun
+{
+    std::vector<std::vector<std::uint8_t>> journal;
+    std::vector<std::vector<std::size_t>> frameEnds;
+    bool convergedOnSource = false;
+    std::uint64_t rollbacks = 0;
+};
+
+/** What a live session records and ships, and how. */
+struct LiveSpec
+{
+    GuestProgram prog = testprogs::lockedCounter(2, 2000);
+    MachineConfig cfg{};
+    RecorderOptions opts{};
+    unsigned streams = 1;
+    StandbyOptions standby{.applyWorkers = 0};
+    FaultPlan plan{};
+    /** Hand-wire the commit sequence instead of using the pipeline. */
+    bool handWired = false;
+    /** Runs after each commit has shipped. */
+    std::function<void(const StandbyApplier &, EpochId)> check{};
+};
+
+LiveRun
+liveSession(LiveSpec spec)
+{
+    ShardedJournalWriter journal(spec.prog, spec.cfg,
+                                 recorderOptionsFingerprint(spec.opts),
+                                 {.streams = spec.streams});
+    FaultInjector faults(spec.plan);
+    const ShipSenderOptions senderOpts{.batchBytes = 512,
+                                       .maxAttempts = 32};
+    RecordObserver obs;
+    UniparallelRecorder rec(spec.prog, spec.cfg, spec.opts);
+    std::optional<RecordOutcome> out;
+    LiveRun r;
+    ShipOutcome &outcome = r;
+    if (spec.handWired) {
+        // The reference: the commit sequence every caller wrote out
+        // by hand before CommitPipeline owned it.
+        journal.enableAsyncCommit();
+        spec.standby.faults = &faults;
+        StandbyApplier standby(spec.standby);
+        ShipLink link(standby, &faults);
+        ShipSender sender(
+            link, spec.streams,
+            [&](unsigned s) -> std::span<const std::uint8_t> {
+                return journal.streamBytes(s);
+            },
+            senderOpts);
+        obs.addEpochSink([&](const EpochRecord &e, EpochId index) {
+            journal.appendEpoch(e, index);
+            sender.noteEpochCommitted();
+            sender.pump();
+        });
+        out = rec.record(&obs);
+        journal.flush();
+        sender.pump();
+        r.standbyImages = standby.imageSet();
+        outcome = {standby.promote(), sender.stats(), standby.stats(),
+                   link.stats()};
+    } else {
+        CommitPipeline pipeline(journal, {.standby = spec.standby,
+                                          .sender = senderOpts,
+                                          .faults = &faults});
+        pipeline.attach(obs);
+        if (spec.check)
+            obs.addEpochSink([&](const EpochRecord &, EpochId index) {
+                spec.check(*pipeline.standby(), index);
+            });
+        out = rec.record(&obs);
+        pipeline.finish();
+        r.standbyImages = pipeline.standby()->imageSet();
+        outcome = pipeline.promote();
+    }
+    EXPECT_TRUE(out->ok);
+    r.journal = journal.imageSet();
+    for (unsigned s = 0; s < spec.streams; ++s)
+        r.frameEnds.push_back(journal.streamFrameEnds(s));
+    r.convergedOnSource = r.converged(out->recording.epochs.size(),
+                                      out->recording.finalStateHash);
+    r.rollbacks = out->recording.stats.rollbacks;
+    return r;
+}
+
+// The oracle: CommitPipeline journals, ships and fails over exactly
+// like the hand-written sequence it replaced, under a plan firing
+// every link site and standby-crash. With an apply worker the acked
+// replay watermark, maxLag and lagWaits depend on host timing, so
+// they are compared only when applies run inline.
+TEST(CommitPipeline, MatchesTheHandWiredCommitSequence)
+{
+    LiveSpec spec{.opts = testOpts()};
+    spec.plan.seed = 0x0c1e;
+    for (FaultSite site :
+         {FaultSite::LinkDrop, FaultSite::LinkDuplicate,
+          FaultSite::LinkReorder, FaultSite::LinkTornBatch,
+          FaultSite::LinkDisconnect, FaultSite::StandbyCrash})
+        spec.plan.with(site, 0.08);
+    spec.standby.lagBound = 4;
+    for (unsigned streams : {1u, 3u}) {
+        for (unsigned workers : {0u, 1u}) {
+            SCOPED_TRACE(::testing::Message()
+                         << streams << " stream(s), " << workers
+                         << " apply worker(s)");
+            spec.streams = streams;
+            spec.standby.applyWorkers = workers;
+            spec.handWired = true;
+            LiveRun ref = liveSession(spec);
+            spec.handWired = false;
+            LiveRun got = liveSession(spec);
+            EXPECT_TRUE(ref.convergedOnSource);
+            EXPECT_EQ(got.journal, ref.journal);
+            EXPECT_EQ(got.frameEnds, ref.frameEnds);
+            EXPECT_EQ(got.standbyImages, ref.standbyImages);
+            EXPECT_EQ(got.standbyImages, ref.journal);
+            EXPECT_EQ(got.promotion.report, ref.promotion.report);
+            const LinkStats &ls = ref.link;
+            EXPECT_EQ(got.link, ls);
+            for (std::uint64_t fired :
+                 {ls.dropped, ls.duplicated, ls.reordered, ls.torn,
+                  ls.disconnects, ref.standby.crashes})
+                EXPECT_GT(fired, 0u) << "the plan fires every site";
+            for (LiveRun *r : {&ref, &got}) {
+                if (workers > 0) {
+                    r->sender.ackedReplayedEpochs = 0;
+                    r->standby.maxLag = 0;
+                    r->standby.lagWaits = 0;
+                }
+            }
+            EXPECT_EQ(got.sender, ref.sender);
+            EXPECT_EQ(got.standby, ref.standby);
+        }
+    }
+}
+
+// A standby fed live through the pipeline (applying inline) sits,
+// digest-verified, at every committed boundary and converges.
+TEST(CommitPipeline, TracksEveryCommittedBoundary)
+{
+    LiveSpec spec{.prog = testprogs::lockedCounter(2, 400)};
+    spec.opts.epochLength = 10'000;
+    std::uint64_t streamed = 0;
+    spec.check = [&](const StandbyApplier &standby, EpochId index) {
+        // Inline applies: the commit's pump returns only once the
+        // standby has applied this epoch.
+        EXPECT_EQ(index, streamed++);
+        EXPECT_EQ(standby.stats().persistedEpochs, index + 1);
+        EXPECT_EQ(standby.stats().replayedEpochs, index + 1);
+        EXPECT_FALSE(standby.failedClosed());
+    };
+    LiveRun r = liveSession(spec);
+    EXPECT_TRUE(r.convergedOnSource);
+    EXPECT_EQ(streamed, r.promotion.report.replayedEpochs);
+}
+
+TEST(CommitPipeline, SurvivesRollbacks)
+{
+    // Diverged epochs are official: the stream stays linear even
+    // while the recorder squashes its speculation.
+    LiveSpec spec{.prog = testprogs::racyCounter(4, 2'000)};
+    spec.opts.epochLength = 8'000;
+    LiveRun r = liveSession(spec);
+    EXPECT_TRUE(r.convergedOnSource);
+    EXPECT_GT(r.rollbacks, 0u) << "this seed should race";
+}
+
+TEST(CommitPipeline, TakeOverYieldsTheFinalMachine)
+{
+    const workloads::Workload *w = workloads::findWorkload("fft");
+    workloads::WorkloadBundle b = w->make({.threads = 2, .scale = 1});
+    LiveSpec spec{.prog = b.program, .cfg = b.config};
+    spec.opts.epochLength = 40'000;
+    LiveRun r = liveSession(spec);
+    EXPECT_TRUE(r.convergedOnSource);
+    ASSERT_NE(r.promotion.machine, nullptr);
+    EXPECT_TRUE(r.promotion.machine->allExited());
+    EXPECT_EQ(r.promotion.machine->threads[0].exitCode, b.expectedExit);
+}
+
+TEST(CommitPipeline, WorksUnderHostParallelRecording)
+{
+    LiveSpec spec{.prog = testprogs::barrierPhases(3, 12)};
+    spec.opts.epochLength = 6'000;
+    spec.opts.hostWorkers = 2; // commits still arrive in order
+    EXPECT_TRUE(liveSession(spec).convergedOnSource);
 }
 
 } // namespace

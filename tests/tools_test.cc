@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -275,6 +276,32 @@ TEST_F(ToolsCli, RecordShipRunsAnInProcessStandby)
         << r.output;
     EXPECT_NE(r.output.find("dp-metrics-v1"), std::string::npos)
         << r.output;
+}
+
+// A resumed --ship session ships the recovered prefix too, so the
+// primary's committed watermark must count it: the primary is never
+// behind its own standby.
+TEST_F(ToolsCli, ResumedShipCountsTheRecoveredPrefixAsCommitted)
+{
+    const std::string journal = path("resume-ship.dpj");
+    path("resume-ship.dpj.s0");
+    path("resume-ship.dpj.s1");
+    uniplay("record pfscan -t 2 -s 4 --journal " + journal +
+            " --journal-streams 2 --fault-plan stream-crash=0.1:1 "
+            "--fault-seed 5");
+    CmdResult r = uniplay("record pfscan -t 2 -s 4 --journal " +
+                          journal + " --resume --ship --lag 4");
+    ASSERT_EQ(r.exitCode, 0) << r.output;
+    std::smatch m;
+    ASSERT_TRUE(std::regex_search(
+        r.output, m,
+        std::regex("recovered ([0-9]+) [\\s\\S]*recorded ([0-9]+) "
+                   "epochs[\\s\\S]*\"committedEpochs\":([0-9]+),"
+                   "\"persistedEpochs\":([0-9]+)")))
+        << r.output;
+    EXPECT_LT(std::stoul(m[1]), std::stoul(m[2])) << r.output;
+    EXPECT_EQ(m[3], m[2]) << r.output;
+    EXPECT_EQ(m[4], m[2]) << r.output;
 }
 
 TEST_F(ToolsCli, RecoverJobsMisuseIsUsageError)

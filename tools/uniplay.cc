@@ -43,9 +43,7 @@
 #include "journal/sharded.hh"
 #include "replay/recording_io.hh"
 #include "replay/replayer.hh"
-#include "ship/link.hh"
-#include "ship/sender.hh"
-#include "ship/standby.hh"
+#include "ship/pipeline.hh"
 #include "trace/metrics.hh"
 #include "trace/trace.hh"
 #include "vm/text_asm.hh"
@@ -277,11 +275,32 @@ loadJournalSet(const std::string &path)
 std::vector<std::span<const std::uint8_t>>
 asSpans(const std::vector<std::vector<std::uint8_t>> &images)
 {
-    std::vector<std::span<const std::uint8_t>> spans;
-    spans.reserve(images.size());
-    for (const std::vector<std::uint8_t> &i : images)
-        spans.emplace_back(i);
-    return spans;
+    return {images.begin(), images.end()};
+}
+
+/** Recover @p js, exiting when not even its header survives. */
+RecoveredShardedJournal
+recoverOrDie(const std::string &path, const JournalSet &js)
+{
+    RecoveredShardedJournal rj =
+        recoverShardedJournal(asSpans(js.images));
+    if (!rj.report.headerOk)
+        dp_fatal(path, ": cannot recover journal: ",
+                 journalErrorName(rj.report.tailError), " (",
+                 rj.report.detail, ")");
+    return rj;
+}
+
+/** The session's fault injector (null without --fault-plan). */
+std::unique_ptr<FaultInjector>
+faultsOf(const Args &args)
+{
+    if (args.faultPlan.empty())
+        return nullptr;
+    auto faults = std::make_unique<FaultInjector>(
+        FaultPlan::parse(args.faultPlan, args.faultSeed));
+    std::cout << "fault plan: " << faults->plan().describe() << "\n";
+    return faults;
 }
 
 int
@@ -303,14 +322,8 @@ doRecord(const GuestProgram &prog, const MachineConfig &cfg,
         opts.trace = tracer.get();
     }
 
-    std::unique_ptr<FaultInjector> faults;
-    if (!args.faultPlan.empty()) {
-        faults = std::make_unique<FaultInjector>(
-            FaultPlan::parse(args.faultPlan, args.faultSeed));
-        opts.faults = faults.get();
-        std::cout << "fault plan: " << faults->plan().describe()
-                  << "\n";
-    }
+    std::unique_ptr<FaultInjector> faults = faultsOf(args);
+    opts.faults = faults.get();
     if (OptionError err = validateRecorderOptions(opts);
         err != OptionError::None)
         dp_fatal("invalid recorder options: ", optionErrorName(err));
@@ -329,12 +342,7 @@ doRecord(const GuestProgram &prog, const MachineConfig &cfg,
             dp_fatal(args.journalFile, ": journal has ", js.streams,
                      " stream(s); --journal-streams cannot change "
                      "on resume");
-        RecoveredShardedJournal rj =
-            recoverShardedJournal(asSpans(js.images));
-        if (!rj.report.headerOk)
-            dp_fatal(args.journalFile, ": cannot recover journal: ",
-                     journalErrorName(rj.report.tailError), " (",
-                     rj.report.detail, ")");
+        RecoveredShardedJournal rj = recoverOrDie(args.journalFile, js);
         if (rj.optionsFingerprint != fingerprint)
             dp_fatal(args.journalFile,
                      ": journal was recorded under different "
@@ -359,47 +367,23 @@ doRecord(const GuestProgram &prog, const MachineConfig &cfg,
             ShardedJournalOptions{.streams = args.journalStreams},
             faults.get());
     }
-    if (journal && !journalBase.empty() &&
-        !journal->streamTo(journalBase))
-        dp_fatal("cannot write journal file ", journalBase);
-    if (journal && tracer)
-        journal->setTrace(tracer.get());
-    if (journal)
-        // Serialize + checksum + stream on a committer thread; the
-        // record pipeline only pays the epoch hand-off. Byte-identical
-        // to synchronous appends (frames commit in hand-off order).
-        journal->enableAsyncCommit();
-
     RecordObserver obs;
     obs.onRecovery = [](RecoveryKind kind, EpochId index) {
         std::cout << "  recovery: " << recoveryKindName(kind)
                   << " at epoch " << index << "\n";
     };
-    if (journal)
-        obs.addEpochSink(
-            [&](const EpochRecord &e, EpochId index) {
-                journal->appendEpoch(e, index);
-            });
-
-    // record --ship: stream every committed epoch to an in-process
-    // hot standby over the (optionally fault-injected) link.
-    std::unique_ptr<StandbyApplier> standby;
-    std::unique_ptr<ShipLink> link;
-    std::unique_ptr<ShipSender> sender;
-    if (args.ship) {
-        standby = std::make_unique<StandbyApplier>(StandbyOptions{
-            .lagBound = args.lag, .faults = faults.get()});
-        link = std::make_unique<ShipLink>(*standby, faults.get());
-        sender = std::make_unique<ShipSender>(
-            *link, journal->streams(),
-            [jp = journal.get()](
-                unsigned s) -> std::span<const std::uint8_t> {
-                return jp->streamBytes(s);
-            });
-        obs.addEpochSink([&](const EpochRecord &, EpochId) {
-            sender->noteEpochCommitted();
-            sender->pump();
-        });
+    std::unique_ptr<CommitPipeline> pipeline;
+    if (journal) {
+        if (!journalBase.empty() && !journal->streamTo(journalBase))
+            dp_fatal("cannot write journal file ", journalBase);
+        journal->setTrace(tracer.get());
+        // record --ship: stream every committed epoch to an
+        // in-process hot standby over the (fault-injectable) link.
+        CommitPipelineOptions popts{.faults = faults.get()};
+        if (args.ship)
+            popts.standby = StandbyOptions{.lagBound = args.lag};
+        pipeline = std::make_unique<CommitPipeline>(*journal, popts);
+        pipeline->attach(obs);
     }
 
     UniparallelRecorder rec(prog, cfg, opts);
@@ -424,8 +408,8 @@ doRecord(const GuestProgram &prog, const MachineConfig &cfg,
                   << st.epochRetries << " epoch retries, "
                   << st.seqFallbacks << " seq fallbacks\n";
     }
-    if (journal) {
-        journal->flush();
+    if (pipeline) {
+        pipeline->finish();
         std::size_t jbytes = 0;
         for (unsigned s = 0; s < journal->streams(); ++s)
             jbytes += journal->streamBytes(s).size();
@@ -472,19 +456,13 @@ doRecord(const GuestProgram &prog, const MachineConfig &cfg,
         std::cout << "wrote " << bytes.size() << " bytes to "
                   << args.outFile << "\n";
     }
-    if (sender) {
-        sender->pump(); // the primary's last committed bytes
-        Promotion p = standby->promote();
-        std::cout << "ship: " << p.report.describe() << "\n"
-                  << shipMetricsSnapshot(sender->stats(),
-                                         standby->stats(),
-                                         link->stats())
-                         .dump()
-                  << "\n";
+    if (args.ship) {
+        ShipOutcome o = pipeline->promote();
+        std::cout << "ship: " << o.promotion.report.describe() << "\n"
+                  << o.metrics().dump() << "\n";
         const bool converged =
-            p.report.promoted && !sender->failed() &&
-            p.report.replayedEpochs == out.recording.epochs.size() &&
-            p.report.finalStateHash == out.recording.finalStateHash;
+            o.converged(out.recording.epochs.size(),
+                        out.recording.finalStateHash);
         std::cout << "standby converged: " << (converged ? "yes" : "NO")
                   << "\n";
         if (!converged)
@@ -531,42 +509,16 @@ cmdShip(const Args &args)
         return usage();
     }
     JournalSet js = loadJournalSet(args.journalFile);
-    RecoveredShardedJournal rj =
-        recoverShardedJournal(asSpans(js.images));
-    if (!rj.report.headerOk)
-        dp_fatal(args.journalFile, ": cannot recover journal: ",
-                 journalErrorName(rj.report.tailError), " (",
-                 rj.report.detail, ")");
-
-    std::unique_ptr<FaultInjector> faults;
-    if (!args.faultPlan.empty()) {
-        faults = std::make_unique<FaultInjector>(
-            FaultPlan::parse(args.faultPlan, args.faultSeed));
-        std::cout << "fault plan: " << faults->plan().describe()
-                  << "\n";
-    }
-
+    RecoveredShardedJournal rj = recoverOrDie(args.journalFile, js);
+    std::unique_ptr<FaultInjector> faults = faultsOf(args);
     StandbyApplier standby(
         {.lagBound = args.lag, .faults = faults.get()});
-    ShipLink link(standby, faults.get());
-    ShipSender sender(
-        link, js.streams,
-        [&](unsigned s) -> std::span<const std::uint8_t> {
-            return js.images[s];
-        });
-    sender.noteEpochCommitted(rj.consistentEpochs);
-    sender.pump();
-
-    Promotion p = standby.promote();
-    std::cout << p.report.describe() << "\n"
-              << shipMetricsSnapshot(sender.stats(), standby.stats(),
-                                     link.stats())
-                     .dump()
-              << "\n";
-    const bool converged =
-        p.report.promoted && !sender.failed() &&
-        p.report.replayedEpochs == rj.consistentEpochs &&
-        p.report.finalStateHash == rj.recording->finalStateHash;
+    ShipOutcome o = shipAndPromote(standby, js.images,
+                                   rj.consistentEpochs, {}, faults.get());
+    std::cout << o.promotion.report.describe() << "\n"
+              << o.metrics().dump() << "\n";
+    const bool converged = o.converged(rj.consistentEpochs,
+                                       rj.recording->finalStateHash);
     std::cout << "standby converged: " << (converged ? "yes" : "NO")
               << "\n";
     return converged ? 0 : 1;
@@ -827,13 +779,7 @@ cmdStats(const Args &args)
         rec = std::move(loaded.recording);
     } else if (kind == UniplayFileKind::Journal) {
         JournalSet js = loadJournalSet(args.positional[0]);
-        RecoveredShardedJournal rj =
-            recoverShardedJournal(asSpans(js.images));
-        if (!rj.report.headerOk)
-            dp_fatal(args.positional[0],
-                     ": cannot recover journal: ",
-                     journalErrorName(rj.report.tailError));
-        rec = std::move(rj.recording);
+        rec = recoverOrDie(args.positional[0], js).recording;
     } else {
         dp_fatal(args.positional[0],
                  ": not a uniplay artifact or journal");
